@@ -7,11 +7,16 @@ intermediate terms (1/k!, 1/2^l) are evaluated with ``fractions.Fraction``
 and must come out integral; a non-integral result means the formula was
 transcribed wrong and raises :class:`InternalNonInteger`.
 
-The brute-force engine enumerates parent vectors directly and memoizes
-pattern containment per root-to-leaf label path, so sweeping many pattern
-sets over one family costs a single enumeration pass.  Counting for the
-ordered family weights each parent vector by the number of child-order
-arrangements (avoidance never depends on child order).
+The brute-force engine is one tally pass.  One worker per slice of parent
+vectors (split by the first vertex's parent) enumerates its vectors,
+memoizes pattern containment per root-to-leaf label path, and adds each
+forest's weight under the key (mask of pattern atoms hit, statistic
+value); plain counts are the value-0 case, and refined counts use the
+number of trees or of top-down maxima.  Each pattern set then sums the
+keys whose mask misses it, so sweeping many pattern sets over one family
+costs a single enumeration pass.  Counting for the ordered family weights
+each parent vector by the number of child-order arrangements (avoidance
+never depends on child order).
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .forests import FamilyTag
-from .generate import iter_parent_vectors
+from .forests import FamilyTag, _leaf_paths
+from .generate import _child_order_weight, iter_parent_vectors
 from .perms import Pattern, PatternMode, pattern, word_contains_classical, word_contains_consecutive
 
 
@@ -192,11 +197,19 @@ def budget_for(family: FamilyTag) -> int:
     raw = os.environ.get(_ENV_BUDGET, "").strip()
     if not raw:
         return DEFAULT_BUDGETS[family]
-    if "=" not in raw:
-        return int(raw)
-    table = dict(item.split("=", 1) for item in raw.split(","))
-    value = table.get(family.value)
-    return int(value) if value is not None else DEFAULT_BUDGETS[family]
+    try:
+        if "=" not in raw:
+            return int(raw)
+        table = {}
+        for item in raw.split(","):
+            key, value = item.split("=", 1)
+            table[FamilyTag(key.strip())] = int(value)
+    except ValueError:
+        raise ValueError(
+            f"{_ENV_BUDGET}={raw!r} is malformed; expected N or "
+            "unordered=N,binary=N,ordered=N"
+        ) from None
+    return table.get(family, DEFAULT_BUDGETS[family])
 
 
 def _check_budget(n: int, family: FamilyTag, budget: int | None) -> None:
@@ -235,49 +248,49 @@ def _leaf_paths_of_vector(n: int, vec: tuple[int, ...]) -> list[tuple[int, ...]]
     children: list[list[int]] = [[] for _ in range(n + 1)]
     for i, p in enumerate(vec):
         children[p].append(i + 1)
-    paths: list[tuple[int, ...]] = []
-    stack = [(r, (r,)) for r in children[0]]
-    while stack:
-        v, path = stack.pop()
-        kids = children[v]
-        if kids:
-            for c in kids:
-                stack.append((c, path + (c,)))
-        else:
-            paths.append(path)
-    return paths
+    return _leaf_paths(children)
 
 
-def _sweep_slice(args) -> list[int]:
-    """Count avoiders of each pattern set over one generation slice."""
-    n, family_value, atoms, set_masks, first_parent = args
+STATISTICS = ("tdm", "trees")
+
+
+def _statistic(statistic: str, vec: tuple[int, ...], paths) -> int:
+    if statistic == "trees":
+        return vec.count(0)
+    tdm: set[int] = set()  # top-down maxima, collected along the leaf paths
+    for path in paths:
+        best = 0
+        for v in path:
+            if v > best:
+                tdm.add(v)
+                best = v
+    return len(tdm)
+
+
+def _tally_slice(args) -> dict[tuple[int, int], int]:
+    """Forest weight of one generation slice, keyed by (mask of atoms hit,
+    statistic value); the value is 0 when no statistic is asked for."""
+    n, family_value, atoms, statistic, first_parent = args
     family = FamilyTag(family_value)
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
-    counts = [0] * len(set_masks)
+    tally: dict[tuple[int, int], int] = {}
     cache: dict[tuple[int, ...], int] = {}
     for vec in iter_parent_vectors(n, binary=binary, first_parent=first_parent):
+        paths = _leaf_paths_of_vector(n, vec)
         mask = 0
-        for path in _leaf_paths_of_vector(n, vec):
+        for path in paths:
             m = cache.get(path)
             if m is None:
                 m = _path_mask(path, atoms)
                 cache[path] = m
             mask |= m
-        if ordered:
-            sizes = [0] * (n + 1)
-            for p in vec:
-                sizes[p] += 1
-            weight = 1
-            for c in sizes:
-                if c > 1:
-                    weight *= factorial(c)
-        else:
-            weight = 1
-        for idx, sm in enumerate(set_masks):
-            if not mask & sm:
-                counts[idx] += weight
-    return counts
+        # A refined count has one pattern set holding every atom, so only
+        # forests that hit no atom need their statistic.
+        value = _statistic(statistic, vec, paths) if statistic and not mask else 0
+        key = (mask, value)
+        tally[key] = tally.get(key, 0) + (_child_order_weight(vec) if ordered else 1)
+    return tally
 
 
 def _compile_sets(
@@ -300,6 +313,41 @@ def _compile_sets(
     return tuple(atoms), set_masks
 
 
+def _tally(
+    n: int,
+    family: FamilyTag,
+    pattern_sets: Sequence[Sequence[Pattern]],
+    statistic: str | None,
+    jobs: int,
+    budget: int | None,
+) -> list[dict[int, int]]:
+    """Avoider weight of each pattern set, by statistic value, in one pass.
+
+    The pass is partitioned by the first vertex's parent, so the result is
+    a fixed sum of per-slice tallies and identical for any number of jobs.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_budget(n, family, budget)
+    atoms, set_masks = _compile_sets(pattern_sets)
+    slices = [j for j in range(n + 1) if j != 1] if n else [None]
+    arg_list = [(n, family.value, atoms, statistic, j) for j in slices]
+    if jobs > 1 and len(slices) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
+            partials = list(pool.map(_tally_slice, arg_list))
+    else:
+        partials = [_tally_slice(a) for a in arg_list]
+    totals: list[dict[int, int]] = [{} for _ in set_masks]
+    for part in partials:
+        for (mask, value), weight in part.items():
+            for sm, total in zip(set_masks, totals):
+                if not mask & sm:
+                    total[value] = total.get(value, 0) + weight
+    return totals
+
+
 def sweep_counts(
     n: int,
     family: FamilyTag,
@@ -307,28 +355,9 @@ def sweep_counts(
     jobs: int = 1,
     budget: int | None = None,
 ) -> list[int]:
-    """Avoider counts for many pattern sets in one enumeration pass.
-
-    The computation is partitioned by the first vertex's parent, so the
-    result is a fixed sum of per-slice counts and identical for any number
-    of jobs.
-    """
-    _check_budget(n, family, budget)
-    atoms, set_masks = _compile_sets(pattern_sets)
-    if n == 0:
-        return [1] * len(set_masks)  # the empty forest avoids everything
-    slices = [j for j in range(n + 1) if j != 1]
-    arg_list = [(n, family.value, atoms, set_masks, j) for j in slices]
-    if jobs > 1 and len(slices) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-            partials = list(pool.map(_sweep_slice, arg_list))
-    else:
-        partials = [_sweep_slice(a) for a in arg_list]
-    totals = [0] * len(set_masks)
-    for part in partials:
-        for i, c in enumerate(part):
-            totals[i] += c
-    return totals
+    """Avoider counts for many pattern sets in one enumeration pass,
+    identical for any number of jobs."""
+    return [t.get(0, 0) for t in _tally(n, family, pattern_sets, None, jobs, budget)]
 
 
 def brute_count(
@@ -344,51 +373,6 @@ def brute_count(
 
 # -- refined counts ---------------------------------------------------------
 
-STATISTICS = ("tdm", "trees")
-
-
-def _refined_slice(args) -> dict[int, int]:
-    n, family_value, atoms, set_mask, statistic, first_parent = args
-    family = FamilyTag(family_value)
-    binary = family is FamilyTag.UNORDERED_BINARY
-    ordered = family is FamilyTag.ORDERED
-    out: dict[int, int] = {}
-    cache: dict[tuple[int, ...], int] = {}
-    for vec in iter_parent_vectors(n, binary=binary, first_parent=first_parent):
-        mask = 0
-        paths = _leaf_paths_of_vector(n, vec)
-        for path in paths:
-            m = cache.get(path)
-            if m is None:
-                m = _path_mask(path, atoms)
-                cache[path] = m
-            mask |= m
-        if mask & set_mask:
-            continue
-        if statistic == "trees":
-            value = sum(1 for p in vec if p == 0)
-        else:  # top-down maxima, counted along the leaf paths
-            tdm: set[int] = set()
-            for path in paths:
-                best = 0
-                for v in path:
-                    if v > best:
-                        tdm.add(v)
-                        best = v
-            value = len(tdm)
-        if ordered:
-            sizes = [0] * (n + 1)
-            for p in vec:
-                sizes[p] += 1
-            weight = 1
-            for c in sizes:
-                if c > 1:
-                    weight *= factorial(c)
-        else:
-            weight = 1
-        out[value] = out.get(value, 0) + weight
-    return out
-
 
 def refined_table(
     n: int,
@@ -401,22 +385,7 @@ def refined_table(
     """Avoider counts refined by a statistic (``tdm`` or ``trees``)."""
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
-    _check_budget(n, family, budget)
-    atoms, set_masks = _compile_sets([list(patterns)])
-    if n == 0:
-        return {0: 1}
-    slices = [j for j in range(n + 1) if j != 1]
-    arg_list = [(n, family.value, atoms, set_masks[0], statistic, j) for j in slices]
-    if jobs > 1 and len(slices) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-            partials = list(pool.map(_refined_slice, arg_list))
-    else:
-        partials = [_refined_slice(a) for a in arg_list]
-    out: dict[int, int] = {}
-    for part in partials:
-        for k, v in part.items():
-            out[k] = out.get(k, 0) + v
-    return out
+    return _tally(n, family, [list(patterns)], statistic, jobs, budget)[0]
 
 
 def refined_count(
@@ -493,6 +462,7 @@ def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None
         raise KeyError(f"unknown table {figure!r}; valid: {sorted(REFERENCE_TABLES)}")
     ref = REFERENCE_TABLES[figure]
     family: FamilyTag = ref["family"]
+    _check_budget(max_n, family, budget)
     pattern_sets = []
     meta = []
     for mode in ("classical", "consecutive"):

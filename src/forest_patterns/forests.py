@@ -189,25 +189,29 @@ def from_parents(n: int, parent: Mapping[int, int] | Sequence[int]) -> Forest:
     return Forest(parent)
 
 
+def _leaf_paths(children) -> list[tuple[int, ...]]:
+    """Root-to-leaf label paths from ascending child lists, where
+    ``children[0]`` holds the roots; the largest label is walked first."""
+    paths: list[tuple[int, ...]] = []
+    stack = [(r, (r,)) for r in children[0]]
+    while stack:
+        v, path = stack.pop()
+        kids = children[v]
+        if kids:
+            for c in kids:
+                stack.append((c, path + (c,)))
+        else:
+            paths.append(path)
+    return paths
+
+
 def root_leaf_paths(f: Forest) -> list[tuple[int, ...]]:
     """Label sequences along each path from a tree root down to a leaf.
 
     Every root-to-vertex path is a prefix of one of these, so checking
     leaves is enough for pattern avoidance.
     """
-    paths: list[tuple[int, ...]] = []
-    for r in f.roots:
-        stack: list[tuple[int, tuple[int, ...]]] = [(r, (r,))]
-        while stack:
-            v, path = stack.pop()
-            kids = f.children(v)
-            if not kids:
-                paths.append(path)
-            else:
-                for c in reversed(kids):
-                    stack.append((c, path + (c,)))
-    paths.reverse()
-    return paths
+    return _leaf_paths(f._children)
 
 
 def root_vertex_paths(f: Forest) -> list[tuple[int, ...]]:

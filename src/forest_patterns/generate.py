@@ -214,21 +214,25 @@ def gen_forests(n: int, family: FamilyTag) -> Iterator[Forest]:
             yield from_parents(n, vec)
 
 
+def _child_order_weight(vec: Sequence[int]) -> int:
+    """Number of child orders of a parent vector: the product of the
+    factorials of the child counts, the virtual root's included."""
+    counts = [0] * (len(vec) + 1)
+    for p in vec:
+        counts[p] += 1
+    weight = 1
+    for c in counts:
+        if c > 1:
+            weight *= factorial(c)
+    return weight
+
+
 def count_forests(n: int, family: FamilyTag) -> int:
     """Number of family forests on [n], by running the same enumeration
     without materializing objects (ordered forests are counted by
     multiplying each parent vector by its child-order arrangements)."""
     if family is FamilyTag.ORDERED:
-        total = 0
-        for vec in iter_parent_vectors(n):
-            counts = [0] * (n + 1)
-            for p in vec:
-                counts[p] += 1
-            w = 1
-            for c in counts:
-                w *= factorial(c)
-            total += w
-        return total
+        return sum(_child_order_weight(vec) for vec in iter_parent_vectors(n))
     return sum(1 for _ in iter_parent_vectors(n, binary=family is FamilyTag.UNORDERED_BINARY))
 
 

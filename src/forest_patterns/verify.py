@@ -11,6 +11,7 @@ from typing import Iterator
 
 from .counting import (
     FORMULA_CLASSES,
+    binom,
     catalan,
     formula,
     refined_table,
@@ -76,14 +77,8 @@ def _check_refined_uni132(max_n: int, jobs: int) -> Iterator[CheckRow]:
             n, FamilyTag.UNORDERED, _patterns((312, 213, 132)), "trees", jobs=jobs
         )
         for k in range(1, n + 1):
-            expected = factorial(n) // factorial(k) * _binom(n - 1, k - 1)
+            expected = factorial(n) // factorial(k) * binom(n - 1, k - 1)
             yield CheckRow("refined_uni132", n, f"trees={k}", expected, by_trees.get(k, 0))
-
-
-def _binom(n: int, k: int) -> int:
-    from .counting import binom
-
-    return binom(n, k)
 
 
 def _check_recurrence_trees(max_n: int, jobs: int) -> Iterator[CheckRow]:
@@ -183,6 +178,8 @@ CHECKS = {
 
 
 def run_check(name: str, max_n: int, jobs: int = 1) -> list[CheckRow]:
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     if name == "all":
         rows: list[CheckRow] = []
         for key in CHECKS:

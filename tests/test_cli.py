@@ -179,3 +179,19 @@ def test_usage_errors_exit_two():
 def test_budget_exceeded_is_reported():
     code, _ = invoke("count", "--family", "ordered", "--n", "9", "--avoid", "321", "--jobs", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "unordered", "--n", "-1", "--avoid", "321", "--jobs", "1"],
+        ["count", "--family", "unordered", "--n", "3", "--avoid", "321", "--jobs", "0"],
+        ["count", "--family", "unordered", "--n", "3", "--avoid", "321", "--jobs", "-3"],
+        ["verify", "--theorem", "all", "--max-n", "0", "--jobs", "1"],
+        ["verify", "--theorem", "unimodal", "--max-n", "-1", "--jobs", "1"],
+    ],
+)
+def test_out_of_range_arguments_exit_two(argv, capsys):
+    code, out = invoke(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")

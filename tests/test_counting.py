@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -21,8 +22,12 @@ from forest_patterns import (
     sweep_counts,
     table_rows,
 )
-from forest_patterns.counting import FORMULA_CLASSES, budget_for
-from forest_patterns.forests import avoids
+from forest_patterns import counting
+from forest_patterns.counting import FORMULA_CLASSES, STATISTICS, budget_for
+from forest_patterns.forests import avoids, avoids_per_vertex, top_down_maxima
+
+# one classical, one consecutive, and one two-pattern set
+OBJECT_ROUTE_SETS = [("321",), ("!231",), ("213", "312")]
 
 
 class TestNumberFamilies:
@@ -131,6 +136,14 @@ class TestBruteCounts:
         one = sweep_counts(4, FamilyTag.UNORDERED, [[pattern(321)]], jobs=1)
         many = sweep_counts(4, FamilyTag.UNORDERED, [[pattern(321)]], jobs=4)
         assert one == many
+        for family in FamilyTag:
+            sets = [[pattern(w) for w in ws] for ws in OBJECT_ROUTE_SETS]
+            assert sweep_counts(4, family, sets, jobs=3) == sweep_counts(4, family, sets)
+            two = sets[2]
+            for statistic in STATISTICS:
+                assert refined_table(4, family, two, statistic, jobs=3) == refined_table(
+                    4, family, two, statistic
+                )
 
     def test_uneven_shape_on_five_vertices(self):
         # exactly one shape on [5] has 60 labelings of which 43 avoid 321
@@ -165,6 +178,19 @@ class TestRefinedCounts:
         table = refined_table(4, FamilyTag.UNORDERED, pats, statistic)
         assert sum(table.values()) == brute_count(4, FamilyTag.UNORDERED, pats)
 
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("words", OBJECT_ROUTE_SETS)
+    def test_refined_agrees_with_object_route(self, family, words):
+        pats = [pattern(w) for w in words]
+        for n in range(5):
+            by_trees, by_tdm = Counter(), Counter()
+            for f in gen_forests(n, family):
+                if avoids_per_vertex(f, pats):
+                    by_trees[len(f.roots)] += 1
+                    by_tdm[len(top_down_maxima(f))] += 1
+            assert refined_table(n, family, pats, "trees") == by_trees, n
+            assert refined_table(n, family, pats, "tdm") == by_tdm, n
+
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             refined_table(3, FamilyTag.UNORDERED, [pattern(21)], "leaves")
@@ -190,6 +216,10 @@ class TestBudgets:
         assert budget_for(FamilyTag.UNORDERED) == 9
         assert budget_for(FamilyTag.ORDERED) == 4
         assert budget_for(FamilyTag.UNORDERED_BINARY) == 9
+        for bad in ("unordered:9", "unordered=x", "unorderd=9", "unordered=9,"):
+            monkeypatch.setenv("FOREST_PATTERNS_BUDGET", bad)
+            with pytest.raises(ValueError, match="FOREST_PATTERNS_BUDGET.*N or unordered=N"):
+                budget_for(FamilyTag.UNORDERED)
 
 
 class TestTableRows:
@@ -202,6 +232,13 @@ class TestTableRows:
         rows = [r for r in table_rows("13", 5) if r["n"] == 5 and r["mode"] == "consecutive"]
         assert [r["expected"] for r in rows] == [None, None, None]
         assert all(isinstance(r["computed"], int) for r in rows)
+
+    def test_budget_checked_before_any_sweep(self, monkeypatch):
+        swept = []
+        monkeypatch.setattr(counting, "sweep_counts", lambda *a, **k: swept.append(a) or [0] * 6)
+        with pytest.raises(BudgetExceeded):
+            next(table_rows("7", 9))
+        assert swept == []
 
     def test_unknown_figure(self):
         with pytest.raises(KeyError):
