@@ -13,12 +13,13 @@ the same exhaustive round-trip tests as the rest.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .forests import (
     DescentKind,
     Forest,
     avoids,
+    complement_forest,
     descent_kind,
     height,
     is_decreasing,
@@ -85,32 +86,33 @@ def perm_to_increasing_forest(p: Permutation) -> Forest:
     return Forest(parent)
 
 
-def increasing_forest_to_perm(f: Forest) -> Permutation:
-    """Inverse of :func:`perm_to_increasing_forest`: preorder traversal
-    visiting roots and children in decreasing label order (the clockwise
-    reading when children are drawn smallest to largest)."""
-    if not is_increasing(f):
-        raise NotIncreasing(f"forest has a non-increasing edge: {f.parent}")
+def _clockwise(f: Forest, roots: Sequence[int]) -> list[int]:
+    """Preorder from ``roots`` visiting roots and children in decreasing
+    label order (the clockwise reading when children are drawn smallest
+    to largest)."""
     word: list[int] = []
-    stack = list(f.roots)  # ascending; popping yields largest first
+    stack = list(roots)  # ascending; popping yields largest first
     while stack:
         v = stack.pop()
         word.append(v)
         stack.extend(f.children(v))
-    return Permutation(word)
+    return word
+
+
+def increasing_forest_to_perm(f: Forest) -> Permutation:
+    """Inverse of :func:`perm_to_increasing_forest`: the clockwise reading."""
+    if not is_increasing(f):
+        raise NotIncreasing(f"forest has a non-increasing edge: {f.parent}")
+    return Permutation(_clockwise(f, f.roots))
 
 
 def perm_to_decreasing_forest(p: Permutation) -> Forest:
     """Decreasing forest: build the increasing forest, then complement
     labels within the ground set."""
-    from .forests import complement_forest
-
     return complement_forest(perm_to_increasing_forest(p))
 
 
 def decreasing_forest_to_perm(f: Forest) -> Permutation:
-    from .forests import complement_forest
-
     if not is_decreasing(f):
         raise NotIncreasing(f"forest has a non-decreasing edge: {f.parent}")
     return increasing_forest_to_perm(complement_forest(f))
@@ -129,18 +131,19 @@ def _attach_decreasing(parent: dict[int, int], cycle: Sequence[int]) -> None:
             parent[v] = m if pv == 0 else pv
 
 
-def _hanging_groups(f: Forest, tdm: frozenset[int]) -> dict[int, dict[int, int]]:
-    """For each top-down maximum, the parent map of the non-maximum
-    vertices whose nearest maximum ancestor it is."""
-    groups: dict[int, dict[int, int]] = {m: {} for m in tdm}
+def _hanging_groups(f: Forest, tops: AbstractSet[int]) -> dict[int, dict[int, int]]:
+    """For each vertex of ``tops`` (top-down maxima, say), the parent map
+    of the other vertices whose nearest ``tops`` ancestor it is; every
+    root must be in ``tops``."""
+    groups: dict[int, dict[int, int]] = {m: {} for m in tops}
     for v in f.labels:
-        if v in tdm:
+        if v in tops:
             continue
         p = f.parent[v]
         m = p
-        while m not in tdm:
+        while m not in tops:
             m = f.parent[m]
-        groups[m][v] = p if p not in tdm else 0
+        groups[m][v] = p if p not in tops else 0
     return groups
 
 
@@ -385,13 +388,7 @@ def proper_descent_tree_to_perm(f: Forest) -> Permutation:
     for v in f.labels:
         if v != r and descent_kind(f, v) is not DescentKind.NONE:
             raise NotInClass(f"unexpected descent at vertex {v}")
-    word: list[int] = []
-    stack = [r]
-    while stack:
-        v = stack.pop()
-        word.append(v)
-        stack.extend(f.children(v))
-    return inverse(Permutation(word))
+    return inverse(Permutation(_clockwise(f, (r,))))
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +437,14 @@ def forest_to_ordered_lists(f: Forest) -> ListPartition:
     inc = Forest({v: f.parent[v] for v in rising})
     word = increasing_forest_to_perm(inc).word
 
-    trees: dict[int, dict[int, int]] = {b: {b: 0} for b in rising}
-    for v in f.labels:
-        if v in rising:
-            continue
-        m = f.parent[v]
-        while m not in rising:
-            m = f.parent[m]
-        trees[m][v] = f.parent[v]
-
+    groups = _hanging_groups(f, rising)
     blocks = []
     for b in word:
-        t = trees[b]
-        if len(t) == 1:
+        if not groups[b]:
             blocks.append((b,))
         else:
-            blocks.append(proper_descent_tree_to_perm(Forest(t)).word)
+            tree = {b: 0, **{v: p or b for v, p in groups[b].items()}}
+            blocks.append(proper_descent_tree_to_perm(Forest(tree)).word)
     return ListPartition(blocks, ordered_blocks=True, up_to_reverse=True)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -16,10 +17,7 @@ from . import bijections as bij
 from . import counting, textio, verify
 from .forests import FamilyTag, Forest, avoids
 from .generate import (
-    Composition,
     ListPartition,
-    OrderedSetPartition,
-    SetPartition,
     gen_compositions,
     gen_forests,
     gen_list_partitions,
@@ -28,7 +26,8 @@ from .generate import (
     gen_partitioned_cycle_decomps,
     gen_set_partitions,
 )
-from .perms import CycleDecomposition, Pattern, PatternMode, Permutation, pattern
+from .perms import Pattern, PatternMode, pattern
+from .textio import object_from_json, object_to_json, object_to_text
 
 FOREST_FAMILIES = {
     "unordered": FamilyTag.UNORDERED,
@@ -74,143 +73,73 @@ def parse_pattern_list(text: str, mode: str = "mixed") -> list[Pattern]:
     return pats
 
 
-def object_to_json(obj) -> dict:
-    if isinstance(obj, Forest):
-        return {"kind": "forest", **textio.forest_to_json(obj)}
-    if isinstance(obj, Permutation):
-        return {"kind": "permutation", "word": list(obj.word)}
-    if isinstance(obj, CycleDecomposition):
-        return {
-            "kind": "cycles",
-            "cycles": [list(c) for c in obj.cycles],
-            "blocks": None if obj.blocks is None else [list(b) for b in obj.blocks],
-        }
-    if isinstance(obj, SetPartition):
-        return {"kind": "setPartition", "blocks": [list(b) for b in obj.blocks]}
-    if isinstance(obj, OrderedSetPartition):
-        return {"kind": "orderedSetPartition", "blocks": [list(b) for b in obj.blocks]}
-    if isinstance(obj, ListPartition):
-        return {
-            "kind": "listPartition",
-            "blocks": [list(b) for b in obj.blocks],
-            "orderedBlocks": obj.ordered_blocks,
-            "upToReverse": obj.up_to_reverse,
-        }
-    if isinstance(obj, Composition):
-        return {"kind": "composition", "parts": list(obj.parts)}
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
-
-
-def object_from_json(data: dict | str):
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data["kind"]
-    if kind == "forest":
-        return textio.forest_from_json(data)
-    if kind == "permutation":
-        return Permutation(data["word"])
-    if kind == "cycles":
-        return CycleDecomposition(data["cycles"], data.get("blocks"))
-    if kind == "setPartition":
-        return SetPartition(data["blocks"])
-    if kind == "orderedSetPartition":
-        return OrderedSetPartition(data["blocks"])
-    if kind == "listPartition":
-        return ListPartition(data["blocks"], data["orderedBlocks"], data["upToReverse"])
-    if kind == "composition":
-        return Composition(data["parts"])
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def object_to_text(obj) -> str:
-    if isinstance(obj, Forest):
-        return textio.forest_to_text(obj)
-    if isinstance(obj, Permutation):
-        return textio.perm_to_text(obj)
-    return str(obj)
-
-
 # -- the bijection registry ---------------------------------------------------
-
-_PARSE_FOREST = textio.parse_forest
 
 
 def _parse_ordered_lists(text: str) -> ListPartition:
     return textio.parse_list_partition(text, ordered_blocks=True, up_to_reverse=True)
 
 
-BIJECTIONS: dict[str, dict] = {
-    "phi": {
-        "forward": (textio.parse_perm, bij.perm_to_increasing_forest),
-        "inverse": (_PARSE_FOREST, bij.increasing_forest_to_perm),
-    },
-    "phi_d": {
-        "forward": (textio.parse_perm, bij.perm_to_decreasing_forest),
-        "inverse": (_PARSE_FOREST, bij.decreasing_forest_to_perm),
-    },
-    "theta": {
-        "forward": (textio.parse_cycles, bij.cycles_to_unimodal_forest),
-        "inverse": (_PARSE_FOREST, bij.unimodal_forest_to_cycles),
-    },
-    "shallow": {
-        "forward": (textio.parse_set_partition, bij.set_partition_to_shallow_forest),
-        "inverse": (_PARSE_FOREST, bij.shallow_forest_to_set_partition),
-    },
-    "xi": {
-        "forward": (textio.parse_cycles, bij.partitioned_cycles_to_forest),
-        "inverse": (_PARSE_FOREST, bij.forest_to_partitioned_cycles),
-    },
-    "gamma": {
-        "forward": (textio.parse_ordered_set_partition, bij.ordered_partition_to_forest),
-        "inverse": (_PARSE_FOREST, bij.forest_to_ordered_partition),
-    },
-    "tau": {
-        "forward": (
-            textio.parse_list_partition,
-            lambda lp: bij.list_partition_to_forest(lp, bij.TauVariant.UNIMODAL132),
-        ),
-        "inverse": (_PARSE_FOREST, bij.forest_to_list_partition),
-    },
-    "tau_onedescent": {
-        "forward": (
-            textio.parse_list_partition,
-            lambda lp: bij.list_partition_to_forest(lp, bij.TauVariant.ONE_DESCENT),
-        ),
-        "inverse": None,
-    },
-    "rho": {
-        "forward": (textio.parse_perm, bij.perm_to_proper_descent_tree),
-        "inverse": (_PARSE_FOREST, bij.proper_descent_tree_to_perm),
-    },
-    "psi": {
-        "forward": (_parse_ordered_lists, bij.ordered_lists_to_forest),
-        "inverse": (_PARSE_FOREST, bij.forest_to_ordered_lists),
-    },
-    "alpha": {
-        "forward": (_PARSE_FOREST, bij.avoid312_to_avoid321),
-        "inverse": (_PARSE_FOREST, bij.avoid321_to_avoid312),
-    },
-    "beta_wilf": {
-        "forward": (_PARSE_FOREST, bij.avoid321_to_avoid312),
-        "inverse": (_PARSE_FOREST, bij.avoid312_to_avoid321),
-    },
+def _tau(variant: bij.TauVariant) -> Callable[[ListPartition], Forest]:
+    return lambda lp: bij.list_partition_to_forest(lp, variant)
+
+
+# name -> (domain parser, forward map, inverse map or None); every inverse
+# reads a forest.
+BIJECTIONS: dict[str, tuple[Callable[[str], object], Callable, Callable | None]] = {
+    "phi": (textio.parse_perm, bij.perm_to_increasing_forest, bij.increasing_forest_to_perm),
+    "phi_d": (textio.parse_perm, bij.perm_to_decreasing_forest, bij.decreasing_forest_to_perm),
+    "theta": (textio.parse_cycles, bij.cycles_to_unimodal_forest, bij.unimodal_forest_to_cycles),
+    "shallow": (
+        textio.parse_set_partition,
+        bij.set_partition_to_shallow_forest,
+        bij.shallow_forest_to_set_partition,
+    ),
+    "xi": (
+        textio.parse_cycles,
+        bij.partitioned_cycles_to_forest,
+        bij.forest_to_partitioned_cycles,
+    ),
+    "gamma": (
+        textio.parse_ordered_set_partition,
+        bij.ordered_partition_to_forest,
+        bij.forest_to_ordered_partition,
+    ),
+    "tau": (
+        textio.parse_list_partition,
+        _tau(bij.TauVariant.UNIMODAL132),
+        bij.forest_to_list_partition,
+    ),
+    "tau_onedescent": (textio.parse_list_partition, _tau(bij.TauVariant.ONE_DESCENT), None),
+    "rho": (textio.parse_perm, bij.perm_to_proper_descent_tree, bij.proper_descent_tree_to_perm),
+    "psi": (_parse_ordered_lists, bij.ordered_lists_to_forest, bij.forest_to_ordered_lists),
+    "alpha": (textio.parse_forest, bij.avoid312_to_avoid321, bij.avoid321_to_avoid312),
+    "beta_wilf": (textio.parse_forest, bij.avoid321_to_avoid312, bij.avoid312_to_avoid321),
 }
 
 
 # -- output helpers -----------------------------------------------------------
 
 
-def _emit_rows(rows: list[dict], fmt: str, out) -> None:
+def _emit_rows(rows: list[dict], fmt: str, out, line: Callable[[dict], str]) -> None:
+    """Print ``rows`` as one JSON list, as CSV, or as one ``line`` each."""
     if fmt == "json":
         print(json.dumps(rows, sort_keys=True), file=out)
     elif fmt == "csv":
         if rows:
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
     else:
         for row in rows:
-            print(" ".join(f"{k}={v}" for k, v in row.items()), file=out)
+            print(line(row), file=out)
+
+
+def _emit_object(obj, fmt: str, out) -> None:
+    if fmt == "json":
+        print(json.dumps(object_to_json(obj), sort_keys=True), file=out)
+    else:
+        print(object_to_text(obj), file=out)
 
 
 def _default_jobs() -> int:
@@ -221,6 +150,8 @@ def _default_jobs() -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be nonnegative")
     if args.family in FOREST_FAMILIES:
         stream = gen_forests(args.n, FOREST_FAMILIES[args.family])
         if args.avoid:
@@ -230,15 +161,8 @@ def _cmd_enumerate(args, out) -> int:
         if args.avoid:
             raise ValueError("--avoid only applies to forest families")
         stream = OBJECT_FAMILIES[args.family](args.n)
-    emitted = 0
-    for obj in stream:
-        if args.limit is not None and emitted >= args.limit:
-            break
-        if args.format == "json":
-            print(json.dumps(object_to_json(obj), sort_keys=True), file=out)
-        else:
-            print(object_to_text(obj), file=out)
-        emitted += 1
+    for obj in itertools.islice(stream, args.limit):
+        _emit_object(obj, args.format, out)
     return 0
 
 
@@ -258,39 +182,34 @@ def _cmd_count(args, out) -> int:
             {**base, "by": args.by, "value": k, "count": table[k]}
             for k in sorted(table)
         ]
-        if args.format == "text":
-            for row in rows:
-                print(f"{row['value']} {row['count']}", file=out)
-        else:
-            _emit_rows(rows, args.format, out)
+        _emit_rows(rows, args.format, out, lambda row: f"{row['value']} {row['count']}")
     else:
         value = counting.brute_count(
             args.n, family, pats, jobs=args.jobs, budget=args.budget
         )
-        if args.format == "text":
-            print(value, file=out)
-        else:
-            _emit_rows([{**base, "count": value}], args.format, out)
+        _emit_rows([{**base, "count": value}], args.format, out, lambda row: str(row["count"]))
     return 0
 
 
 def _cmd_map(args, out) -> int:
-    entry = BIJECTIONS[args.bijection]
-    direction = "inverse" if args.inverse else "forward"
-    if entry[direction] is None:
-        raise ValueError(f"bijection {args.bijection!r} exposes no {direction} map")
-    parser_fn, map_fn = entry[direction]
+    parse, forward, inverse = BIJECTIONS[args.bijection]
+    map_fn = forward
+    if args.inverse:
+        if inverse is None:
+            raise ValueError(f"bijection {args.bijection!r} exposes no inverse map")
+        parse, map_fn = textio.parse_forest, inverse
     text = args.input.strip()
-    if text.startswith('{"'):
-        obj_in = object_from_json(text)
-    else:
-        obj_in = parser_fn(text)
-    obj_out = map_fn(obj_in)
-    if args.format == "json":
-        print(json.dumps(object_to_json(obj_out), sort_keys=True), file=out)
-    else:
-        print(object_to_text(obj_out), file=out)
+    if text.startswith('{"'):  # JSON input is read as its text form
+        text = object_to_text(object_from_json(text))
+    _emit_object(map_fn(parse(text)), args.format, out)
     return 0
+
+
+def _verify_line(row: dict) -> str:
+    return (
+        f"{row['status']} {row['check']} n={row['n']} {row['subject']} "
+        f"expected={row['expected']} computed={row['computed']}"
+    )
 
 
 def _cmd_verify(args, out) -> int:
@@ -306,16 +225,17 @@ def _cmd_verify(args, out) -> int:
         }
         for r in rows
     ]
-    if args.format == "text":
-        for row in payload:
-            print(
-                f"{row['status']} {row['check']} n={row['n']} {row['subject']} "
-                f"expected={row['expected']} computed={row['computed']}",
-                file=out,
-            )
-    else:
-        _emit_rows(payload, args.format, out)
+    _emit_rows(payload, args.format, out, _verify_line)
     return 0 if all(r.ok for r in rows) else 1
+
+
+def _table_line(row: dict) -> str:
+    expected = "?" if row["expected"] is None else row["expected"]
+    return (
+        f"table {row['figure']} {row['family']} n={row['n']} "
+        f"{row['mode']} {row['pattern']}: computed={row['computed']} "
+        f"expected={expected}"
+    )
 
 
 def _cmd_table(args, out) -> int:
@@ -326,17 +246,7 @@ def _cmd_table(args, out) -> int:
         row["match"] = (
             "" if row["expected"] is None else str(row["computed"] == row["expected"])
         )
-    if args.format == "text":
-        for row in rows:
-            expected = "?" if row["expected"] is None else row["expected"]
-            print(
-                f"table {row['figure']} {row['family']} n={row['n']} "
-                f"{row['mode']} {row['pattern']}: computed={row['computed']} "
-                f"expected={expected}",
-                file=out,
-            )
-    else:
-        _emit_rows(rows, args.format, out)
+    _emit_rows(rows, args.format, out, _table_line)
     return 0
 
 

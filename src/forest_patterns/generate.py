@@ -39,16 +39,10 @@ def _check_disjoint_blocks(blocks: Sequence[Sequence[int]]) -> None:
 
 
 @dataclass(frozen=True)
-class SetPartition:
-    """Disjoint nonempty sets; canonical form sorts blocks by minimum."""
+class _Blocks:
+    """Support and text form of the partitions stored as ``blocks``."""
 
     blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        bl = [tuple(sorted(b)) for b in blocks]
-        _check_disjoint_blocks(bl)
-        bl.sort(key=lambda b: b[0])
-        object.__setattr__(self, "blocks", tuple(bl))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -59,22 +53,24 @@ class SetPartition:
 
 
 @dataclass(frozen=True)
-class OrderedSetPartition:
-    """Disjoint nonempty sets whose order matters; sets sorted internally."""
+class SetPartition(_Blocks):
+    """Disjoint nonempty sets; canonical form sorts blocks by minimum."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        bl = [tuple(sorted(b)) for b in blocks]
+        _check_disjoint_blocks(bl)
+        bl.sort(key=lambda b: b[0])
+        object.__setattr__(self, "blocks", tuple(bl))
+
+
+@dataclass(frozen=True)
+class OrderedSetPartition(_Blocks):
+    """Disjoint nonempty sets whose order matters; sets sorted internally."""
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         bl = [tuple(sorted(b)) for b in blocks]
         _check_disjoint_blocks(bl)
         object.__setattr__(self, "blocks", tuple(bl))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(x for b in self.blocks for x in b))
-
-    def __str__(self) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
 def _canonical_up_to_reverse(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,7 +84,7 @@ def _canonical_up_to_reverse(block: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ListPartition:
+class ListPartition(_Blocks):
     """A partition whose blocks are internally ordered lists.
 
     ``ordered_blocks`` makes the block sequence significant (otherwise
@@ -96,7 +92,6 @@ class ListPartition:
     each block with its reversal and stores the canonical representative.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
     ordered_blocks: bool = False
     up_to_reverse: bool = False
 
@@ -115,13 +110,6 @@ class ListPartition:
         object.__setattr__(self, "blocks", tuple(bl))
         object.__setattr__(self, "ordered_blocks", ordered_blocks)
         object.__setattr__(self, "up_to_reverse", up_to_reverse)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(x for b in self.blocks for x in b))
-
-    def __str__(self) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -251,6 +239,8 @@ def satisfies_family(f: Forest, family: FamilyTag) -> bool:
 
 
 def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     a = [0] * n
 
     def rec(i: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -292,6 +282,8 @@ def gen_ordered_set_partitions(n: int) -> Iterator[OrderedSetPartition]:
 
 def gen_compositions(n: int, k: int | None = None) -> Iterator[Composition]:
     """Compositions of ``n`` (into ``k`` parts when given); C(n-1, k-1) many."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if k is None:
         for kk in range(1, n + 1):
             yield from gen_compositions(n, kk)

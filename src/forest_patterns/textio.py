@@ -1,4 +1,7 @@
-"""Text and JSON forms for the objects the command line deals in.
+"""Every text and JSON form of the objects the command line deals in.
+
+This module is the one place that knows how objects are spelled; the
+command line only looks the forms up here.
 
 Forests on [n] serialize as ``n|p_1 p_2 ... p_n`` (parent of vertex i at
 position i, 0 = virtual root); ordered forests append ``|`` and the child
@@ -7,30 +10,54 @@ uses keys ``n``, ``parents``, ``childOrder``.
 
 Permutations are comma-separated integers; cycle decompositions are
 parenthesized cycles, wrapped in braces per block when partitioned;
-partition-like objects are brace-delimited blocks.
+partition-like objects are brace-delimited blocks.  Every object but a
+forest writes its text form through its own ``__str__``.
+
+A JSON object carries a ``kind`` tag from ``_KINDS``.  A forest adds its
+forest keys; every other kind adds its dataclass fields under camelCase
+keys, with tuples as lists (``word``, ``cycles``, ``blocks``,
+``orderedBlocks``, ``upToReverse``, ``parts``).  ``object_from_json``
+reads exactly the keys ``object_to_json`` writes.
 """
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
+from typing import Iterable
 
 from .forests import Forest, from_parents
 from .generate import Composition, ListPartition, OrderedSetPartition, SetPartition
 from .perms import CycleDecomposition, Permutation
+
+_PERM = "a permutation like 3,1,2"
+_FOREST = "a forest like n|p_1 ... p_n[|orders]"
+_CYCLES = "cycles like (3,1)(2) or {(2,1)(3)}{(4)}"
+_BLOCKS = "blocks like {1,3}{2}"
+_COMPOSITION = "a composition like 3,1,2"
+
+
+def _ints(tokens: Iterable[str], form: str, text: str) -> tuple[int, ...]:
+    """Integer tokens; a token that is not an integer is an error that
+    names the expected ``form`` of the whole ``text``."""
+    try:
+        return tuple(int(tok) for tok in tokens)
+    except ValueError:
+        raise ValueError(f"expected {form}, got {text!r}") from None
 
 
 # -- permutations -----------------------------------------------------------
 
 
 def perm_to_text(p: Permutation) -> str:
-    return ",".join(str(x) for x in p.word)
+    return str(p)
 
 
 def parse_perm(text: str) -> Permutation:
     text = text.strip()
     if not text:
         return Permutation(())
-    return Permutation(int(tok) for tok in text.split(","))
+    return Permutation(_ints(text.split(","), _PERM, text))
 
 
 # -- forests ----------------------------------------------------------------
@@ -51,17 +78,16 @@ def forest_to_text(f: Forest) -> str:
 def parse_forest(text: str) -> Forest:
     parts = text.strip().split("|")
     if len(parts) not in (2, 3):
-        raise ValueError(f"expected 'n|p_1 ... p_n[|orders]', got {text!r}")
-    n = int(parts[0])
-    vec = [int(tok) for tok in parts[1].split()] if parts[1].strip() else []
-    base = from_parents(n, vec)
+        raise ValueError(f"expected {_FOREST}, got {text!r}")
+    n = _ints(parts[:1], _FOREST, text)[0]
+    base = from_parents(n, _ints(parts[1].split(), _FOREST, text))
     if len(parts) == 2:
         return base
     chunks = parts[2].split(";")
     if len(chunks) != n + 1:
         raise ValueError(f"expected {n + 1} child orders, got {len(chunks)}")
     order = {
-        v: tuple(int(tok) for tok in chunk.split(",") if tok.strip())
+        v: _ints((tok for tok in chunk.split(",") if tok.strip()), _FOREST, text)
         for v, chunk in enumerate(chunks)
     }
     return Forest(base.parent, order)
@@ -83,10 +109,11 @@ def forest_to_json(f: Forest) -> dict:
 def forest_from_json(data: dict | str) -> Forest:
     if isinstance(data, str):
         data = json.loads(data)
-    base = from_parents(data["n"], data["parents"])
-    if data.get("childOrder") is None:
+    base = from_parents(_key(data, "n"), _key(data, "parents"))
+    child_order = _key(data, "childOrder")
+    if child_order is None:
         return base
-    order = {v: tuple(kids) for v, kids in enumerate(data["childOrder"])}
+    order = {v: tuple(kids) for v, kids in enumerate(child_order)}
     return Forest(base.parent, order)
 
 
@@ -94,6 +121,14 @@ def forest_from_json(data: dict | str) -> Forest:
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _BLOCK_RE = re.compile(r"\{([^{}]*)\}")
+
+
+def _bodies(part: str, regex: re.Pattern, brackets: str, form: str, text: str) -> list[str]:
+    """The bodies, in ``brackets``, that make up all of ``part`` of ``text``."""
+    bodies = regex.findall(part)
+    if "".join(brackets[0] + b + brackets[1] for b in bodies) != part:
+        raise ValueError(f"expected {form}, got {text!r}")
+    return bodies
 
 
 def cycles_to_text(cd: CycleDecomposition) -> str:
@@ -104,22 +139,17 @@ def parse_cycles(text: str) -> CycleDecomposition:
     """Parse ``(11,4,10,7)(12)`` (ordered) or ``{(2,1)(3)}{(4)}`` (partitioned)."""
     text = text.strip().replace(" ", "")
     if text.startswith("{"):
-        blocks_text = _BLOCK_RE.findall(text)
-        if "".join("{" + b + "}" for b in blocks_text) != text:
-            raise ValueError(f"malformed partitioned cycles: {text!r}")
         cycles: list[tuple[int, ...]] = []
         blocks: list[list[int]] = []
-        for chunk in blocks_text:
+        for chunk in _bodies(text, _BLOCK_RE, "{}", _CYCLES, text):
             indices = []
-            for body in _CYCLE_RE.findall(chunk):
+            for body in _bodies(chunk, _CYCLE_RE, "()", _CYCLES, text):
                 indices.append(len(cycles))
-                cycles.append(tuple(int(tok) for tok in body.split(",")))
+                cycles.append(_ints(body.split(","), _CYCLES, text))
             blocks.append(indices)
         return CycleDecomposition(cycles, blocks)
-    bodies = _CYCLE_RE.findall(text)
-    if "".join("(" + b + ")" for b in bodies) != text:
-        raise ValueError(f"malformed cycles: {text!r}")
-    return CycleDecomposition(tuple(int(tok) for tok in body.split(",")) for body in bodies)
+    bodies = _bodies(text, _CYCLE_RE, "()", _CYCLES, text)
+    return CycleDecomposition(_ints(body.split(","), _CYCLES, text) for body in bodies)
 
 
 # -- partitions --------------------------------------------------------------
@@ -127,10 +157,10 @@ def parse_cycles(text: str) -> CycleDecomposition:
 
 def _parse_blocks(text: str) -> list[tuple[int, ...]]:
     text = text.strip().replace(" ", "")
-    bodies = _BLOCK_RE.findall(text)
-    if "".join("{" + b + "}" for b in bodies) != text or not bodies:
-        raise ValueError(f"malformed block list: {text!r}")
-    return [tuple(int(tok) for tok in body.split(",")) for body in bodies]
+    bodies = _bodies(text, _BLOCK_RE, "{}", _BLOCKS, text)
+    if not bodies:
+        raise ValueError(f"expected {_BLOCKS}, got {text!r}")
+    return [_ints(body.split(","), _BLOCKS, text) for body in bodies]
 
 
 def parse_set_partition(text: str) -> SetPartition:
@@ -148,4 +178,68 @@ def parse_list_partition(
 
 
 def parse_composition(text: str) -> Composition:
-    return Composition(int(tok) for tok in text.strip().split(","))
+    text = text.strip()
+    return Composition(_ints(text.split(","), _COMPOSITION, text))
+
+
+# -- any object ----------------------------------------------------------------
+
+_KINDS: dict[str, type] = {
+    "forest": Forest,
+    "permutation": Permutation,
+    "cycles": CycleDecomposition,
+    "setPartition": SetPartition,
+    "orderedSetPartition": OrderedSetPartition,
+    "listPartition": ListPartition,
+    "composition": Composition,
+}
+_TAGS = {cls: kind for kind, cls in _KINDS.items()}
+
+
+# (field, camelCase JSON key) of every kind but the forest, in constructor order
+_FIELDS = {
+    cls: tuple((f.name, re.sub("_(.)", lambda m: m[1].upper(), f.name)) for f in fields(cls))
+    for cls in _KINDS.values()
+    if cls is not Forest
+}
+
+
+def _key(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"JSON object lacks key {key!r}") from None
+
+
+def _plain(value):
+    return [_plain(x) for x in value] if isinstance(value, tuple) else value
+
+
+def object_to_json(obj) -> dict:
+    kind = _TAGS.get(type(obj))
+    if kind is None:
+        raise TypeError(f"no JSON form for {type(obj).__name__}")
+    if kind == "forest":
+        return {"kind": kind, **forest_to_json(obj)}
+    return {"kind": kind, **{key: _plain(getattr(obj, name)) for name, key in _FIELDS[type(obj)]}}
+
+
+def object_from_json(data: dict | str):
+    if isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r}")
+    kind = _key(data, "kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+    try:
+        if cls is Forest:
+            return forest_from_json(data)
+        return cls(*(_key(data, key) for _, key in _FIELDS[cls]))
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ValueError(f"malformed {kind} JSON: {exc}") from None
+
+
+def object_to_text(obj) -> str:
+    return forest_to_text(obj) if type(obj) is Forest else str(obj)

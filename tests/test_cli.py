@@ -1,8 +1,10 @@
 import io
+import itertools
 import json
 
 import pytest
 
+from forest_patterns import FamilyTag, avoids, pattern
 from forest_patterns.cli import (
     BIJECTIONS,
     object_from_json,
@@ -10,8 +12,16 @@ from forest_patterns.cli import (
     parse_pattern_list,
     run,
 )
-from forest_patterns.perms import PatternMode
-from forest_patterns.textio import parse_forest
+from forest_patterns.generate import (
+    gen_forests,
+    gen_list_partitions,
+    gen_ordered_cycle_decomps,
+    gen_ordered_set_partitions,
+    gen_partitioned_cycle_decomps,
+    gen_set_partitions,
+)
+from forest_patterns.perms import PatternMode, Permutation
+from forest_patterns.textio import object_to_text, parse_forest
 
 
 def invoke(*argv):
@@ -189,9 +199,71 @@ def test_budget_exceeded_is_reported():
         ["count", "--family", "unordered", "--n", "3", "--avoid", "321", "--jobs", "-3"],
         ["verify", "--theorem", "all", "--max-n", "0", "--jobs", "1"],
         ["verify", "--theorem", "unimodal", "--max-n", "-1", "--jobs", "1"],
+        ["enumerate", "--family", "set-partitions", "--n", "-1"],
+        ["enumerate", "--family", "compositions", "--n", "-2"],
+        ["enumerate", "--family", "unordered", "--n", "3", "--limit", "-1"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
     code, out = invoke(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "bijection, payload",
+    [
+        ("phi", '{"kind":"forest","n":1,"parents":[0],"childOrder":null}'),
+        ("theta", '{"kind":"cycles","cycles":[[2,1]]}'),
+        ("shallow", '{"kind":"setPartition"}'),
+        ("gamma", '{"kind":"nosuch","blocks":[[1]]}'),
+        ("phi", '{"kind":"permutation","word":5}'),
+        ("phi", "1|0"),
+        ("theta", "(2,x)"),
+        ("shallow", "{1,2}{3,y}"),
+    ],
+)
+def test_map_rejects_wrong_input(bijection, payload, capsys):
+    code, out = invoke("map", "--bijection", bijection, "--input", payload)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _perms(n):
+    return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
+
+
+def _forests_avoiding(n, word):
+    return [f for f in gen_forests(n, FamilyTag.UNORDERED) if avoids(f, [pattern(word)])]
+
+
+# every bijection's domain objects on [3]
+DOMAINS = {
+    "phi": lambda: _perms(3),
+    "phi_d": lambda: _perms(3),
+    "theta": lambda: list(gen_ordered_cycle_decomps(3)),
+    "shallow": lambda: list(gen_set_partitions(3)),
+    "xi": lambda: list(gen_partitioned_cycle_decomps(3)),
+    "gamma": lambda: list(gen_ordered_set_partitions(3)),
+    "tau": lambda: list(gen_list_partitions(3)),
+    "tau_onedescent": lambda: list(gen_list_partitions(3)),
+    "rho": lambda: [p for p in _perms(3) if p.word.index(2) < p.word.index(1)],
+    "psi": lambda: list(gen_list_partitions(3, ordered_blocks=True, up_to_reverse=True)),
+    "alpha": lambda: _forests_avoiding(3, 312),
+    "beta_wilf": lambda: _forests_avoiding(3, 321),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_map_round_trips_every_domain_object(name):
+    assert set(DOMAINS) == set(BIJECTIONS)
+    inverse = BIJECTIONS[name][2]
+    for obj in DOMAINS[name]():
+        text = object_to_text(obj)
+        code, image = invoke("map", "--bijection", name, "--input", text)
+        assert code == 0, text
+        payload = json.dumps(object_to_json(obj))
+        assert invoke("map", "--bijection", name, "--input", payload) == (0, image)
+        if inverse is not None:
+            back = invoke("map", "--bijection", name, "--inverse", "--input", image.strip())
+            assert back == (0, text + "\n")

@@ -1,12 +1,22 @@
+import json
+
 import pytest
 from hypothesis import given
 
 from forest_patterns import CycleDecomposition, Forest, Permutation
+from forest_patterns.generate import (
+    Composition,
+    ListPartition,
+    OrderedSetPartition,
+    SetPartition,
+)
 from forest_patterns.textio import (
     cycles_to_text,
     forest_from_json,
     forest_to_json,
     forest_to_text,
+    object_from_json,
+    object_to_json,
     parse_composition,
     parse_cycles,
     parse_forest,
@@ -114,3 +124,80 @@ def test_block_parsers():
 
 def test_parse_composition():
     assert parse_composition("3,1,2,2").parts == (3, 1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "obj, data",
+    [
+        (
+            Forest({1: 0, 2: 1, 3: 1}),
+            {"kind": "forest", "n": 3, "parents": [0, 1, 1], "childOrder": None},
+        ),
+        (
+            Forest({1: 0, 2: 0}, {0: (2, 1), 1: (), 2: ()}),
+            {"kind": "forest", "n": 2, "parents": [0, 0], "childOrder": [[2, 1], [], []]},
+        ),
+        (Permutation([3, 1, 2]), {"kind": "permutation", "word": [3, 1, 2]}),
+        (
+            CycleDecomposition([(1, 3), (2,)]),
+            {"kind": "cycles", "cycles": [[3, 1], [2]], "blocks": None},
+        ),
+        (
+            CycleDecomposition([(3,), (2, 1)], blocks=[[0, 1]]),
+            {"kind": "cycles", "cycles": [[2, 1], [3]], "blocks": [[0, 1]]},
+        ),
+        (SetPartition([[2], [3, 1]]), {"kind": "setPartition", "blocks": [[1, 3], [2]]}),
+        (
+            OrderedSetPartition([[2], [3, 1]]),
+            {"kind": "orderedSetPartition", "blocks": [[2], [1, 3]]},
+        ),
+        (
+            ListPartition([[2], [3, 1]]),
+            {"kind": "listPartition", "blocks": [[3, 1], [2]],
+             "orderedBlocks": False, "upToReverse": False},
+        ),
+        (
+            ListPartition([[2], [1, 3]], ordered_blocks=True, up_to_reverse=True),
+            {"kind": "listPartition", "blocks": [[2], [3, 1]],
+             "orderedBlocks": True, "upToReverse": True},
+        ),
+        (Composition([2, 1]), {"kind": "composition", "parts": [2, 1]}),
+    ],
+)
+def test_object_json_of_every_kind(obj, data):
+    assert object_to_json(obj) == data
+    assert object_from_json(data) == obj
+    assert object_from_json(json.dumps(data)) == obj
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "cycles", "cycles": [[2, 1]]}, "'blocks'"),
+        ({"n": 1, "parents": [0], "childOrder": None}, "'kind'"),
+        ({"kind": "forest", "n": 1, "parents": [0]}, "'childOrder'"),
+        ({"kind": "nosuch"}, "'nosuch'"),
+        ({"kind": ["forest"]}, "unknown kind"),
+        ([1, 2], "JSON object"),
+    ],
+)
+def test_object_from_json_names_what_is_missing(data, message):
+    with pytest.raises(ValueError, match=message):
+        object_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "parse, text, form",
+    [
+        (parse_perm, "1|0", "permutation"),
+        (parse_forest, "2|0 x", "forest"),
+        (parse_forest, "1|0|x;", "forest"),
+        (parse_cycles, "(2,x)", "cycles"),
+        (parse_cycles, "{(2,1)3}", "cycles"),
+        (parse_set_partition, "{1,x}", "blocks"),
+        (parse_composition, "2,x", "composition"),
+    ],
+)
+def test_parse_errors_name_the_expected_form(parse, text, form):
+    with pytest.raises(ValueError, match=f"expected .*{form}"):
+        parse(text)
