@@ -5,6 +5,12 @@ partitions, cycle decompositions, partitions into lists) onto a forest
 avoidance class, and each is checked in the test suite by exhaustive
 round trips and image comparisons on small ground sets.
 
+The unimodal maps (``theta``, ``xi``, ``gamma``) share one decomposition:
+a forest avoiding {213, 312} is an increasing skeleton of top-down maxima
+with a group hung below each maximum.  ``_join`` builds a forest from a
+skeleton and its groups, ``_split`` reads them back, and the maps differ
+only in how they encode the skeleton and the groups.
+
 Inverse maps marked "derived" below (for the partitioned-cycle, ordered-
 partition and ordered-lists maps) read the structure back off the forest
 rather than following an explicitly stated recipe; they are validated by
@@ -13,7 +19,7 @@ the same exhaustive round-trip tests as the rest.
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .forests import (
     DescentKind,
@@ -119,16 +125,18 @@ def decreasing_forest_to_perm(f: Forest) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# unimodal decomposition helpers
+# the unimodal decomposition: a skeleton of top-down maxima and their groups
 
-def _attach_decreasing(parent: dict[int, int], cycle: Sequence[int]) -> None:
-    # Hang the decreasing forest of the cycle's non-maximum entries under
-    # its maximum (the first entry, by canonical rotation).
-    m, rest = cycle[0], cycle[1:]
-    if rest:
-        dec = perm_to_decreasing_forest(Permutation(rest))
-        for v, pv in dec.parent.items():
-            parent[v] = m if pv == 0 else pv
+
+def _join(top: Forest, groups: Mapping[int, Mapping[int, int]]) -> Forest:
+    """The forest with skeleton ``top`` and, below each skeleton vertex
+    ``m``, the parent map ``groups[m]``, whose roots have parent 0 there.
+    Inverse of :func:`_split`."""
+    parent = dict(top.parent)
+    for m, group in groups.items():
+        for v, p in group.items():
+            parent[v] = p or m
+    return Forest(parent)
 
 
 def _hanging_groups(f: Forest, tops: AbstractSet[int]) -> dict[int, dict[int, int]]:
@@ -147,6 +155,29 @@ def _hanging_groups(f: Forest, tops: AbstractSet[int]) -> dict[int, dict[int, in
     return groups
 
 
+def _split(f: Forest) -> tuple[Forest, dict[int, dict[int, int]]]:
+    """The skeleton of a unimodal forest (the increasing subforest on its
+    top-down maxima) and the group hung below each maximum."""
+    top = largest_increasing_subforest(f)
+    return top, _hanging_groups(f, top.parent.keys())
+
+
+def _cycle_group(cycle: Sequence[int]) -> dict[int, int]:
+    """The decreasing forest of a cycle's entries after its maximum (the
+    first entry, by canonical rotation), as a group to hang below it."""
+    if len(cycle) == 1:
+        return {}
+    return perm_to_decreasing_forest(Permutation(cycle[1:])).parent
+
+
+def _group_cycle(m: int, group: Mapping[int, int]) -> tuple[int, ...]:
+    """Inverse of :func:`_cycle_group`: the cycle through ``m`` and the
+    vertices of ``group``."""
+    if not group:
+        return (m,)
+    return (m,) + decreasing_forest_to_perm(Forest(group)).word
+
+
 # ---------------------------------------------------------------------------
 # ordered cycle decompositions <-> unimodal forests
 
@@ -160,28 +191,17 @@ def cycles_to_unimodal_forest(cd: CycleDecomposition) -> Forest:
     """
     if cd.blocks is not None:
         raise ValueError("expected an ordered (unpartitioned) decomposition")
-    maxima = [c[0] for c in cd.cycles]
-    parent = dict(perm_to_increasing_forest(Permutation(maxima)).parent)
-    for c in cd.cycles:
-        _attach_decreasing(parent, c)
-    return Forest(parent)
+    top = perm_to_increasing_forest(Permutation([c[0] for c in cd.cycles]))
+    return _join(top, {c[0]: _cycle_group(c) for c in cd.cycles})
 
 
 def unimodal_forest_to_cycles(f: Forest) -> CycleDecomposition:
     """Inverse of :func:`cycles_to_unimodal_forest`."""
     if not avoids(f, _UNIMODAL):
         raise NotUnimodal("forest contains 213 or 312 along a path")
-    tdm = top_down_maxima(f)
-    inc = largest_increasing_subforest(f)
-    maxima_word = increasing_forest_to_perm(inc).word
-    groups = _hanging_groups(f, tdm)
-    cycles = []
-    for m in maxima_word:
-        rest: tuple[int, ...] = ()
-        if groups[m]:
-            rest = decreasing_forest_to_perm(Forest(groups[m])).word
-        cycles.append((m,) + rest)
-    return CycleDecomposition(cycles)
+    top, groups = _split(f)
+    maxima = increasing_forest_to_perm(top).word
+    return CycleDecomposition([_group_cycle(m, groups[m]) for m in maxima])
 
 
 # ---------------------------------------------------------------------------
@@ -219,30 +239,19 @@ def partitioned_cycles_to_forest(cd: CycleDecomposition) -> Forest:
     if cd.blocks is None:
         raise ValueError("expected a partitioned decomposition")
     maxima_blocks = [[cd.cycles[i][0] for i in b] for b in cd.blocks]
-    parent = dict(set_partition_to_shallow_forest(SetPartition(maxima_blocks)).parent)
-    for c in cd.cycles:
-        _attach_decreasing(parent, c)
-    return Forest(parent)
+    top = set_partition_to_shallow_forest(SetPartition(maxima_blocks))
+    return _join(top, {c[0]: _cycle_group(c) for c in cd.cycles})
 
 
 def forest_to_partitioned_cycles(f: Forest) -> CycleDecomposition:
     """Derived inverse of :func:`partitioned_cycles_to_forest`."""
     if not avoids(f, _XI_CLASS):
         raise NotInClass("forest contains 213, 312 or 123 along a path")
-    tdm = top_down_maxima(f)
-    inc = largest_increasing_subforest(f)
-    maxima_partition = shallow_forest_to_set_partition(inc)
-    groups = _hanging_groups(f, tdm)
-    cycles = []
-    index_of_max: dict[int, int] = {}
-    for m in sorted(tdm):
-        rest: tuple[int, ...] = ()
-        if groups[m]:
-            rest = decreasing_forest_to_perm(Forest(groups[m])).word
-        index_of_max[m] = len(cycles)
-        cycles.append((m,) + rest)
-    blocks = [[index_of_max[m] for m in b] for b in maxima_partition.blocks]
-    return CycleDecomposition(cycles, blocks)
+    top, groups = _split(f)
+    maxima = top.labels  # ascending
+    index_of_max = {m: i for i, m in enumerate(maxima)}
+    blocks = [[index_of_max[m] for m in b] for b in shallow_forest_to_set_partition(top).blocks]
+    return CycleDecomposition([_group_cycle(m, groups[m]) for m in maxima], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +262,18 @@ def ordered_partition_to_forest(osp: OrderedSetPartition) -> Forest:
     """Forest avoiding {213, 312, 321}: block maxima, in block order,
     arrange into an increasing forest; the other elements of each block
     become children of their block's maximum."""
-    maxima = [max(b) for b in osp.blocks]
-    parent = dict(perm_to_increasing_forest(Permutation(maxima)).parent)
-    for block, m in zip(osp.blocks, maxima):
-        for v in block:
-            if v != m:
-                parent[v] = m
-    return Forest(parent)
+    maxima = [b[-1] for b in osp.blocks]  # blocks are stored sorted
+    top = perm_to_increasing_forest(Permutation(maxima))
+    return _join(top, {b[-1]: dict.fromkeys(b[:-1], 0) for b in osp.blocks})
 
 
 def forest_to_ordered_partition(f: Forest) -> OrderedSetPartition:
     """Derived inverse of :func:`ordered_partition_to_forest`."""
     if not avoids(f, _GAMMA_CLASS):
         raise NotInClass("forest contains 213, 312 or 321 along a path")
-    tdm = top_down_maxima(f)
-    inc = largest_increasing_subforest(f)
-    word = increasing_forest_to_perm(inc).word
-    blocks = []
-    for m in word:
-        blocks.append((m,) + tuple(c for c in f.children(m) if c not in tdm))
-    return OrderedSetPartition(blocks)
+    top, groups = _split(f)
+    maxima = increasing_forest_to_perm(top).word
+    return OrderedSetPartition([(m, *groups[m]) for m in maxima])
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +426,13 @@ def forest_to_ordered_lists(f: Forest) -> ListPartition:
     """
     if not avoids(f, _PSI_CLASS):
         raise NotInClass("forest contains 321, 2143 or 3142 along a path")
-    rising: set[int] = set()
-    stack: list[tuple[int, int, bool]] = [(r, 0, True) for r in f.roots]
-    while stack:
-        v, prev, ok = stack.pop()
-        ok = ok and v > prev
-        if ok:
-            rising.add(v)
-        for c in f.children(v):
-            stack.append((c, v, ok))
-    inc = Forest({v: f.parent[v] for v in rising})
-    word = increasing_forest_to_perm(inc).word
-
-    groups = _hanging_groups(f, rising)
+    rising: dict[int, int] = {}  # maxima whose parent is 0 or rising -> parent
+    for v in sorted(top_down_maxima(f)):
+        p = f.parent[v]
+        if p == 0 or p in rising:
+            rising[v] = p
+    word = increasing_forest_to_perm(Forest(rising)).word
+    groups = _hanging_groups(f, rising.keys())
     blocks = []
     for b in word:
         if not groups[b]:

@@ -1,7 +1,7 @@
 """Command line entry point: enumerate / count / map / verify / table.
 
-Exit codes: 0 on success (and when every verify row passes), 1 when a
-verify row fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verify row fails or a table cell
+differs from its published value, 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 from typing import Callable, Sequence
 
@@ -29,11 +30,7 @@ from .generate import (
 from .perms import Pattern, PatternMode, pattern
 from .textio import object_from_json, object_to_json, object_to_text
 
-FOREST_FAMILIES = {
-    "unordered": FamilyTag.UNORDERED,
-    "binary": FamilyTag.UNORDERED_BINARY,
-    "ordered": FamilyTag.ORDERED,
-}
+FOREST_FAMILIES = {tag.value: tag for tag in FamilyTag}
 
 OBJECT_FAMILIES: dict[str, Callable[[int], object]] = {
     "set-partitions": gen_set_partitions,
@@ -199,7 +196,8 @@ def _cmd_map(args, out) -> int:
             raise ValueError(f"bijection {args.bijection!r} exposes no inverse map")
         parse, map_fn = textio.parse_forest, inverse
     text = args.input.strip()
-    if text.startswith('{"'):  # JSON input is read as its text form
+    # JSON input, read as its text form, opens with a key; {1,2}{3} does not
+    if re.match(r'\{\s*"', text):
         text = object_to_text(object_from_json(text))
     _emit_object(map_fn(parse(text)), args.format, out)
     return 0
@@ -247,7 +245,8 @@ def _cmd_table(args, out) -> int:
             "" if row["expected"] is None else str(row["computed"] == row["expected"])
         )
     _emit_rows(rows, args.format, out, _table_line)
-    return 0
+    ok = all(row["expected"] is None or row["computed"] == row["expected"] for row in rows)
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    def add_format(p, choices=("text", "json", "csv")):
+        p.add_argument("--format", choices=choices, default="text")
 
     p = sub.add_parser("enumerate", help="stream every object of a family")
     p.add_argument(
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid", help="pattern list, e.g. 321,!231 (forest families only)")
     p.add_argument("--mode", choices=["classical", "consecutive", "mixed"], default="mixed")
     p.add_argument("--limit", type=int)
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     p = sub.add_parser("count", help="count avoiders of a pattern set")
     p.add_argument("--family", required=True, choices=sorted(FOREST_FAMILIES))
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bijection", required=True, choices=sorted(BIJECTIONS))
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--input", required=True)
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     p = sub.add_parser("verify", help="check a named result against brute force")
     p.add_argument(

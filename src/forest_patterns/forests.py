@@ -134,23 +134,9 @@ class Forest:
         """Children of ``v`` (ascending); ``v`` may be 0."""
         return self._children[v]
 
-    def ordered_children(self, v: int) -> tuple[int, ...]:
-        if self.child_order is not None:
-            return self.child_order[v]
-        return self._children[v]
-
     @property
     def roots(self) -> tuple[int, ...]:
         return self._children[0]
-
-    def ancestors(self, v: int) -> list[int]:
-        """Proper ancestors of ``v``, nearest first, excluding the virtual root."""
-        out = []
-        w = self.parent[v]
-        while w != 0:
-            out.append(w)
-            w = self.parent[w]
-        return out
 
     def subtree(self, v: int) -> list[int]:
         """Vertices of the subtree rooted at ``v``, including ``v``."""
@@ -164,9 +150,6 @@ class Forest:
 
     def is_ordered(self) -> bool:
         return self.child_order is not None
-
-    def without_order(self) -> "Forest":
-        return Forest(self.parent) if self.is_ordered() else self
 
 
 def from_parents(n: int, parent: Mapping[int, int] | Sequence[int]) -> Forest:
@@ -253,14 +236,7 @@ def avoids_per_vertex(f: Forest, patterns: Iterable[Pattern]) -> bool:
 
 def complement_forest(f: Forest) -> Forest:
     """Same shape, with the i-th smallest label swapped for the i-th largest."""
-    labels = f.labels
-    comp = {v: labels[len(labels) - 1 - i] for i, v in enumerate(labels)}
-    comp[0] = 0
-    parent = {comp[v]: comp[p] for v, p in f.parent.items()}
-    if f.child_order is None:
-        return Forest(parent)
-    order = {comp[v]: tuple(comp[c] for c in kids) for v, kids in f.child_order.items()}
-    return Forest(parent, order)
+    return relabel(f, dict(zip(f.labels, reversed(f.labels))))
 
 
 def top_down_maxima(f: Forest) -> frozenset[int]:

@@ -238,44 +238,38 @@ def satisfies_family(f: Forest, family: FamilyTag) -> bool:
 # partition streams
 
 
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+def _set_partitions(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """Set partitions of [n] as ascending blocks ordered by minimum, in
+    restricted-growth order: each element joins every open block in turn,
+    then opens a new one."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = [0] * n
-
-    def rec(i: int, m: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(m + 2):
-            a[i] = v
-            yield from rec(i + 1, max(m, v))
-
-    if n == 0:
-        yield ()
-    else:
-        yield from rec(0, -1)
-
-
-def _blocks_from_rgs(rgs: Sequence[int]) -> list[list[int]]:
     blocks: list[list[int]] = []
-    for i, b in enumerate(rgs):
-        if b == len(blocks):
-            blocks.append([])
-        blocks[b].append(i + 1)
-    return blocks
+
+    def rec(v: int) -> Iterator[list[tuple[int, ...]]]:
+        if v > n:
+            yield [tuple(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(v)
+            yield from rec(v + 1)
+            b.pop()
+        blocks.append([v])
+        yield from rec(v + 1)
+        blocks.pop()
+
+    yield from rec(1)
 
 
 def gen_set_partitions(n: int) -> Iterator[SetPartition]:
     """All Bell(n) set partitions of [n], blocks sorted by minimum."""
-    for rgs in _restricted_growth_strings(n):
-        yield SetPartition(_blocks_from_rgs(rgs))
+    for blocks in _set_partitions(n):
+        yield SetPartition(blocks)
 
 
 def gen_ordered_set_partitions(n: int) -> Iterator[OrderedSetPartition]:
     """All sum-of-k!·S(n,k) ordered set partitions of [n]."""
-    for rgs in _restricted_growth_strings(n):
-        blocks = _blocks_from_rgs(rgs)
+    for blocks in _set_partitions(n):
         for perm in itertools.permutations(blocks):
             yield OrderedSetPartition(perm)
 
@@ -323,8 +317,7 @@ def gen_list_partitions(
     representative per block reversal class; ``ordered_blocks`` emits every
     arrangement of the blocks.
     """
-    for rgs in _restricted_growth_strings(n):
-        blocks = _blocks_from_rgs(rgs)
+    for blocks in _set_partitions(n):
         pools = [list(_orderings(b, up_to_reverse)) for b in blocks]
         for combo in itertools.product(*pools):
             if ordered_blocks:
@@ -342,8 +335,7 @@ def _cycle_choices(block: Sequence[int]) -> list[tuple[int, ...]]:
 
 def gen_ordered_cycle_decomps(n: int) -> Iterator[CycleDecomposition]:
     """Ordered cycle decompositions over [n]: sum of k!·c(n,k) objects."""
-    for rgs in _restricted_growth_strings(n):
-        blocks = _blocks_from_rgs(rgs)
+    for blocks in _set_partitions(n):
         pools = [_cycle_choices(b) for b in blocks]
         for cycles in itertools.product(*pools):
             for arrangement in itertools.permutations(cycles):
@@ -352,12 +344,8 @@ def gen_ordered_cycle_decomps(n: int) -> Iterator[CycleDecomposition]:
 
 def gen_partitioned_cycle_decomps(n: int) -> Iterator[CycleDecomposition]:
     """Partitioned cycle decompositions over [n]: sum of Bell(k)·c(n,k)."""
-    for rgs in _restricted_growth_strings(n):
-        blocks = _blocks_from_rgs(rgs)
+    for blocks in _set_partitions(n):
         pools = [_cycle_choices(b) for b in blocks]
         for cycles in itertools.product(*pools):
-            for grouping in _restricted_growth_strings(len(cycles)):
-                idx_blocks = _blocks_from_rgs(grouping)
-                yield CycleDecomposition(
-                    cycles, [[i - 1 for i in b] for b in idx_blocks]
-                )
+            for grouping in _set_partitions(len(cycles)):
+                yield CycleDecomposition(cycles, [[i - 1 for i in b] for b in grouping])

@@ -87,9 +87,16 @@ def test_map_json_output_parses_back():
 
 
 def test_map_accepts_json_input():
-    payload = json.dumps(object_to_json(parse_forest("2|2 0")))
-    code, out = invoke("map", "--bijection", "theta", "--inverse", "--input", payload)
-    assert code == 0 and out == "(2,1)\n"
+    data = object_to_json(parse_forest("2|2 0"))
+    compact = json.dumps(data)
+    # whitespace after the opening brace still reads as JSON
+    for payload in (compact, "{ " + compact[1:], json.dumps(data, indent=1)):
+        code, out = invoke("map", "--bijection", "theta", "--inverse", "--input", payload)
+        assert code == 0 and out == "(2,1)\n"
+    spaced = '{ "kind": "permutation", "word": [2,1]}'
+    assert invoke("map", "--bijection", "phi", "--input", spaced) == invoke(
+        "map", "--bijection", "phi", "--input", "2,1"
+    )
 
 
 def test_map_out_of_class_input_is_usage_error():
@@ -177,13 +184,29 @@ def test_table_csv_matches():
     assert all(line.endswith("True") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "published, code", [((1, 3, 999), 1), ((1, 3), 0)], ids=["differs", "unpublished"]
+)
+def test_table_exit_code_follows_published_cells(monkeypatch, published, code):
+    from forest_patterns import counting
+
+    monkeypatch.setitem(counting.REFERENCE_TABLES["7"]["classical"], "321", published)
+    got, out = invoke("table", "--figure", "7", "--max-n", "3", "--jobs", "1")
+    expected = "?" if len(published) < 3 else published[2]
+    assert got == code
+    assert f"n=3 classical 321: computed=15 expected={expected}\n" in out
+
+
 def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as err:
-        run(["count", "--family", "nosuch", "--n", "3", "--avoid", "321"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run(["map", "--bijection", "nosuch", "--input", "1"])
-    assert err.value.code == 2
+    for argv in (
+        ["count", "--family", "nosuch", "--n", "3", "--avoid", "321"],
+        ["map", "--bijection", "nosuch", "--input", "1"],
+        ["enumerate", "--family", "set-partitions", "--n", "2", "--format", "csv"],
+        ["map", "--bijection", "phi", "--input", "2,1", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
 
 
 def test_budget_exceeded_is_reported():

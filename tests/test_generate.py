@@ -175,3 +175,17 @@ class TestCycleDecompositionStreams:
     def test_supports_cover_ground(self):
         for cd in gen_partitioned_cycle_decomps(4):
             assert cd.support == (1, 2, 3, 4)
+
+
+def test_partition_stream_order():
+    # The exact sequences, so that `enumerate` keeps its output order.
+    assert [str(sp) for sp in gen_set_partitions(4)] == [
+        "{1,2,3,4}", "{1,2,3}{4}", "{1,2,4}{3}", "{1,2}{3,4}", "{1,2}{3}{4}",
+        "{1,3,4}{2}", "{1,3}{2,4}", "{1,3}{2}{4}", "{1,4}{2,3}", "{1}{2,3,4}",
+        "{1}{2,3}{4}", "{1,4}{2}{3}", "{1}{2,4}{3}", "{1}{2}{3,4}", "{1}{2}{3}{4}",
+    ]
+    assert [str(cd) for cd in gen_partitioned_cycle_decomps(3)] == [
+        "{(3,1,2)}", "{(3,2,1)}", "{(2,1)(3)}", "{(2,1)}{(3)}", "{(3,1)(2)}",
+        "{(3,1)}{(2)}", "{(1)(3,2)}", "{(1)}{(3,2)}", "{(1)(2)(3)}",
+        "{(1)(2)}{(3)}", "{(1)(3)}{(2)}", "{(1)}{(2)(3)}", "{(1)}{(2)}{(3)}",
+    ]
