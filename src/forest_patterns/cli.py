@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from . import bijections as bij
 from . import counting, textio, verify
-from .forests import FamilyTag, Forest, avoids
+from .forests import FamilyTag, Forest
 from .generate import (
     ListPartition,
     gen_compositions,
@@ -150,10 +150,12 @@ def _cmd_enumerate(args, out) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
     if args.family in FOREST_FAMILIES:
-        stream = gen_forests(args.n, FOREST_FAMILIES[args.family])
+        family = FOREST_FAMILIES[args.family]
         if args.avoid:
             pats = parse_pattern_list(args.avoid, args.mode)
-            stream = (f for f in stream if avoids(f, pats))
+            stream = counting.gen_avoiders(args.n, family, pats)
+        else:
+            stream = gen_forests(args.n, family)
     else:
         if args.avoid:
             raise ValueError("--avoid only applies to forest families")

@@ -17,6 +17,11 @@ keys whose mask misses it, so sweeping many pattern sets over one family
 costs a single enumeration pass.  Counting for the ordered family weights
 each parent vector by the number of child-order arrangements (avoidance
 never depends on child order).
+
+The avoider stream ``gen_avoiders`` walks the same parent vectors with
+the same memoized path masks, stops at the first leaf path that hits a
+pattern, and builds forests (and, for the ordered family, child orders)
+only for the vectors that avoid every pattern.
 """
 from __future__ import annotations
 
@@ -25,10 +30,10 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .forests import FamilyTag, _leaf_paths
-from .generate import _child_order_weight, iter_parent_vectors
+from .forests import FamilyTag, Forest, _leaf_paths
+from .generate import _child_order_weight, _forests_of_vector, iter_parent_vectors
 from .perms import Pattern, PatternMode, pattern, word_contains_classical, word_contains_consecutive
 
 
@@ -311,6 +316,27 @@ def _compile_sets(
             mask |= 1 << index[spec]
         set_masks.append(mask)
     return tuple(atoms), set_masks
+
+
+def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iterator[Forest]:
+    """The forests of ``gen_forests(n, family)`` that avoid every pattern,
+    in the same order.  Avoidance is decided on each parent vector, with
+    one memoized atom mask per leaf path, and only avoiders become forests
+    (for the ordered family, only avoiders get their child orders)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    atoms, _ = _compile_sets([list(patterns)])
+    ordered = family is FamilyTag.ORDERED
+    cache: dict[tuple[int, ...], int] = {}
+    for vec in iter_parent_vectors(n, binary=family is FamilyTag.UNORDERED_BINARY):
+        for path in _leaf_paths_of_vector(n, vec):
+            mask = cache.get(path)
+            if mask is None:
+                mask = cache[path] = _path_mask(path, atoms)
+            if mask:
+                break
+        else:
+            yield from _forests_of_vector(n, vec, ordered)
 
 
 def _tally(

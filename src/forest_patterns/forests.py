@@ -66,47 +66,39 @@ class Forest:
     ):
         parent = dict(parent)
         labels = tuple(sorted(parent))
-        vertex_set = set(labels)
-        if 0 in vertex_set:
-            raise ParentOutOfRange("0 is the virtual root, not a vertex")
-        if any(v < 0 for v in labels):
-            raise ParentOutOfRange("vertices must be positive integers")
-        for v, p in parent.items():
-            if p == v:
-                raise CycleDetected(f"vertex {v} is its own parent")
-            if p != 0 and p not in vertex_set:
-                raise ParentOutOfRange(f"parent {p} of vertex {v} is not a vertex")
-        # Walk every vertex up to 0; any repeat inside the walk is a cycle.
-        state: dict[int, int] = {}  # 0 = in progress, 1 = reaches the root
-        for v in labels:
-            path = []
-            w = v
-            while w != 0 and state.get(w) is None:
-                state[w] = 0
-                path.append(w)
-                w = parent[w]
-                if state.get(w) == 0:
-                    raise CycleDetected(f"cycle through vertex {w}")
-            for u in path:
-                state[u] = 1
-
-        children: dict[int, list[int]] = {0: []}
-        for v in labels:
-            children[v] = []
-        for v in labels:
-            children[parent[v]].append(v)
-        for lst in children.values():
-            lst.sort()
+        if labels and labels[0] <= 0:
+            raise _reject(parent, labels)
+        # Child lists fill in ascending label order, so each comes out sorted.
+        children: dict[int, list[int]] = {v: [] for v in (0, *labels)}
+        try:
+            for v in labels:
+                children[parent[v]].append(v)
+        except KeyError:  # a parent that is neither 0 nor a vertex
+            raise _reject(parent, labels) from None
+        # Acyclic iff the sweep down from the virtual root reaches every
+        # label; a self-parent or a cycle is never reached.
+        reached: dict[int, tuple[int, ...]] = {}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            kids = children[v]
+            reached[v] = tuple(kids)
+            stack += kids
+        if len(reached) != len(children):
+            raise _reject(parent, labels)
 
         if child_order is not None:
             co: dict[int, tuple[int, ...]] = {}
-            for v in (0,) + labels:
+            for v, kids in children.items():
                 order = tuple(child_order.get(v, ()))
-                if sorted(order) != children[v]:
+                if sorted(order) != kids:
                     raise InvalidChildOrder(
-                        f"child order {order} of vertex {v} does not match children {children[v]}"
+                        f"child order {order} of vertex {v} does not match children {kids}"
                     )
                 co[v] = order
+            if not child_order.keys() <= children.keys():
+                extra = next(v for v in child_order if v not in children)
+                raise InvalidChildOrder(f"child order key {extra!r} is neither 0 nor a vertex")
             self.child_order: dict[int, tuple[int, ...]] | None = co
         else:
             self.child_order = None
@@ -114,11 +106,9 @@ class Forest:
         self.parent = parent
         self.labels = labels
         self.n = len(labels)
-        self._children = {v: tuple(c) for v, c in children.items()}
-        order_key = None
-        if self.child_order is not None:
-            order_key = tuple(self.child_order[v] for v in (0,) + labels)
-        self._key = (labels, tuple(parent[v] for v in labels), order_key)
+        self._children = reached
+        order_key = None if child_order is None else tuple(co.values())
+        self._key = (labels, tuple(map(parent.__getitem__, labels)), order_key)
         self._hash = hash(self._key)
 
     def __eq__(self, other) -> bool:
@@ -152,20 +142,49 @@ class Forest:
         return self.child_order is not None
 
 
+def _reject(parent: dict[int, int], labels: tuple[int, ...]) -> ValueError:
+    """The error for a parent map that is not a forest (``labels`` are its
+    sorted keys), from checks in this order: vertex labels, then each
+    parent, then cycles."""
+    vertex_set = set(labels)
+    if 0 in vertex_set:
+        return ParentOutOfRange("0 is the virtual root, not a vertex")
+    if any(v < 0 for v in labels):
+        return ParentOutOfRange("vertices must be positive integers")
+    for v, p in parent.items():
+        if p == v:
+            return CycleDetected(f"vertex {v} is its own parent")
+        if p != 0 and p not in vertex_set:
+            return ParentOutOfRange(f"parent {p} of vertex {v} is not a vertex")
+    # Walk every vertex up to 0; any repeat inside the walk is a cycle.
+    state: dict[int, int] = {}  # 0 = in progress, 1 = reaches the root
+    for v in labels:
+        path = []
+        w = v
+        while w != 0 and state.get(w) is None:
+            state[w] = 0
+            path.append(w)
+            w = parent[w]
+            if state.get(w) == 0:
+                return CycleDetected(f"cycle through vertex {w}")
+        for u in path:
+            state[u] = 1
+
+
 def from_parents(n: int, parent: Mapping[int, int] | Sequence[int]) -> Forest:
     """Build a forest on [n] from a parent map or a parent vector.
 
     A sequence is read as ``parent[i] = seq[i-1]``.
     """
-    if not isinstance(parent, Mapping):
+    if isinstance(parent, Mapping):
+        parent = dict(parent)
+        if sorted(parent) != list(range(1, n + 1)):
+            raise ParentOutOfRange(f"vertices must be exactly 1..{n}")
+    else:
         seq = list(parent)
         if len(seq) != n:
             raise ParentOutOfRange(f"expected {n} parents, got {len(seq)}")
-        parent = {i + 1: seq[i] for i in range(n)}
-    else:
-        parent = dict(parent)
-    if sorted(parent) != list(range(1, n + 1)):
-        raise ParentOutOfRange(f"vertices must be exactly 1..{n}")
+        parent = dict(zip(range(1, n + 1), seq))
     for v, p in parent.items():
         if not 0 <= p <= n:
             raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}")
@@ -210,28 +229,25 @@ def root_vertex_paths(f: Forest) -> list[tuple[int, ...]]:
     return paths
 
 
-def avoids(f: Forest, patterns: Iterable[Pattern]) -> bool:
-    """True iff no root-to-vertex label path contains any of the patterns."""
+def _avoids_on(paths: Iterable[tuple[int, ...]], patterns: Iterable[Pattern]) -> bool:
     pats = list(patterns)
     if not pats:
         raise ValueError("pattern set must be nonempty")
-    for path in root_leaf_paths(f):
+    for path in paths:
         for pat in pats:
             if word_contains(path, pat):
                 return False
     return True
+
+
+def avoids(f: Forest, patterns: Iterable[Pattern]) -> bool:
+    """True iff no root-to-vertex label path contains any of the patterns."""
+    return _avoids_on(root_leaf_paths(f), patterns)
 
 
 def avoids_per_vertex(f: Forest, patterns: Iterable[Pattern]) -> bool:
     """Second route for cross-checks: test the path to every vertex, not just leaves."""
-    pats = list(patterns)
-    if not pats:
-        raise ValueError("pattern set must be nonempty")
-    for path in root_vertex_paths(f):
-        for pat in pats:
-            if word_contains(path, pat):
-                return False
-    return True
+    return _avoids_on(root_vertex_paths(f), patterns)
 
 
 def complement_forest(f: Forest) -> Forest:

@@ -179,11 +179,17 @@ def iter_parent_vectors(
     yield from rec(1)
 
 
-def _child_orders(f: Forest) -> Iterator[dict[int, tuple[int, ...]]]:
-    vertices = (0,) + f.labels
-    pools = [list(itertools.permutations(f.children(v))) for v in vertices]
+def _forests_of_vector(n: int, vec: Sequence[int], ordered: bool) -> Iterator[Forest]:
+    """The forest of one parent vector, or for the ordered family one
+    forest per combination of child orders."""
+    base = from_parents(n, vec)
+    if not ordered:
+        yield base
+        return
+    vertices = (0,) + base.labels
+    pools = [list(itertools.permutations(base.children(v))) for v in vertices]
     for combo in itertools.product(*pools):
-        yield dict(zip(vertices, combo))
+        yield Forest(base.parent, dict(zip(vertices, combo)))
 
 
 def gen_forests(n: int, family: FamilyTag) -> Iterator[Forest]:
@@ -191,15 +197,9 @@ def gen_forests(n: int, family: FamilyTag) -> Iterator[Forest]:
     by parent vector (then by child orders for the ordered family)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    binary = family is FamilyTag.UNORDERED_BINARY
-    if family is FamilyTag.ORDERED:
-        for vec in iter_parent_vectors(n):
-            base = from_parents(n, vec)
-            for order in _child_orders(base):
-                yield Forest(base.parent, order)
-    else:
-        for vec in iter_parent_vectors(n, binary=binary):
-            yield from_parents(n, vec)
+    ordered = family is FamilyTag.ORDERED
+    for vec in iter_parent_vectors(n, binary=family is FamilyTag.UNORDERED_BINARY):
+        yield from _forests_of_vector(n, vec, ordered)
 
 
 def _child_order_weight(vec: Sequence[int]) -> int:

@@ -109,10 +109,13 @@ def forest_to_json(f: Forest) -> dict:
 def forest_from_json(data: dict | str) -> Forest:
     if isinstance(data, str):
         data = json.loads(data)
-    base = from_parents(_key(data, "n"), _key(data, "parents"))
+    n = _key(data, "n")
+    base = from_parents(n, _key(data, "parents"))
     child_order = _key(data, "childOrder")
     if child_order is None:
         return base
+    if len(child_order) != n + 1:
+        raise ValueError(f"expected {n + 1} child orders, got {len(child_order)}")
     order = {v: tuple(kids) for v, kids in enumerate(child_order)}
     return Forest(base.parent, order)
 

@@ -252,6 +252,13 @@ def test_map_rejects_wrong_input(bijection, payload, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_map_rejects_child_orders_of_non_vertices(capsys):
+    payload = '{"kind":"forest","n":1,"parents":[0],"childOrder":[[1],[],[9]]}'
+    code, out = invoke("map", "--bijection", "alpha", "--inverse", "--input", payload)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: expected 2 child orders, got 3\n"
+
+
 def _perms(n):
     return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
 

@@ -12,6 +12,7 @@ from forest_patterns import (
     brute_count,
     catalan,
     formula,
+    gen_avoiders,
     gen_forests,
     pattern,
     refined_count,
@@ -194,6 +195,25 @@ class TestRefinedCounts:
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             refined_table(3, FamilyTag.UNORDERED, [pattern(21)], "leaves")
+
+
+class TestAvoiderStream:
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize(
+        "words",
+        [("321",), ("!231",), ("213", "312"), ("123", "!321"), ("321", "2143", "3142"), ("1",)],
+    )
+    def test_equals_filtered_forest_stream(self, family, words):
+        pats = [pattern(w) for w in words]
+        for n in range(5 if family is FamilyTag.ORDERED else 6):
+            expected = [f for f in gen_forests(n, family) if avoids_per_vertex(f, pats)]
+            assert list(gen_avoiders(n, family, pats)) == expected, n
+
+    def test_rejects_negative_n_and_empty_pattern_set(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(gen_avoiders(-1, FamilyTag.UNORDERED, [pattern(21)]))
+        with pytest.raises(ValueError, match="nonempty"):
+            next(gen_avoiders(2, FamilyTag.UNORDERED, []))
 
 
 class TestBudgets:

@@ -26,7 +26,7 @@ from forest_patterns import (
     shape_signature,
     top_down_maxima,
 )
-from forest_patterns.forests import is_increasing, relabel, root_vertex_paths
+from forest_patterns.forests import InvalidChildOrder, is_increasing, relabel, root_vertex_paths
 
 from .conftest import forest_st
 
@@ -89,6 +89,33 @@ class TestConstruction:
     def test_empty_forest(self):
         f = Forest({})
         assert f.n == 0 and f.roots == () and height(f) == 0
+
+    @pytest.mark.parametrize(
+        "parent, order, error, message",
+        [
+            ({0: 1, 1: 0}, None, ParentOutOfRange, "0 is the virtual root, not a vertex"),
+            ({2: 0, -3: 2}, None, ParentOutOfRange, "vertices must be positive integers"),
+            ({1: 0, 2: 2}, None, CycleDetected, "vertex 2 is its own parent"),
+            ({1: 0, 2: 5}, None, ParentOutOfRange, "parent 5 of vertex 2 is not a vertex"),
+            ({1: 2, 2: 1}, None, CycleDetected, "cycle through vertex 1"),
+            ({1: 0, 2: 1, 3: 5, 4: 3, 5: 4}, None, CycleDetected, "cycle through vertex 3"),
+            ({3: 4, 4: 3, 1: 0, 2: 1}, None, CycleDetected, "cycle through vertex 3"),
+            (
+                {1: 0, 2: 1},
+                {0: (1,), 1: (3,)},
+                InvalidChildOrder,
+                "child order (3,) of vertex 1 does not match children [2]",
+            ),
+        ],
+    )
+    def test_malformed_map_errors(self, parent, order, error, message):
+        with pytest.raises(error) as info:
+            Forest(parent, order)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_child_order_of_a_non_vertex_rejected(self):
+        with pytest.raises(InvalidChildOrder, match="key 7 is neither 0 nor a vertex"):
+            Forest({1: 0}, {0: (1,), 1: (), 7: (3,)})
 
 
 class TestPaths:

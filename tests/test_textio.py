@@ -90,6 +90,12 @@ def test_parse_forest_rejects_malformed():
         parse_forest("2|0 1|1;2")  # needs n+1 order chunks
 
 
+def test_forest_json_needs_one_child_order_per_vertex_and_root():
+    for orders in ([[1], [], [5, 6]], [[1]]):
+        with pytest.raises(ValueError, match=f"expected 2 child orders, got {len(orders)}"):
+            forest_from_json({"n": 1, "parents": [0], "childOrder": orders})
+
+
 def test_cycles_round_trip():
     cd = CycleDecomposition([(11, 4, 10, 7), (12,), (8, 3, 1), (9, 5, 2, 6)])
     text = cycles_to_text(cd)
