@@ -4,8 +4,9 @@ publish them as a golden file.
 
 Two independent code paths must agree before anything is written:
 
-* route A: the counting engine (leaf-path checker over parent vectors,
-  each weighted by its number of child-order arrangements);
+* route A: the counting engine, the gap-state recursion (forests split
+  at the tree holding the smallest label, each node weighted by its
+  number of child orders);
 * route B: explicit enumeration of every ordered forest, checked with the
   per-vertex path checker.
 
@@ -59,7 +60,7 @@ def main() -> int:
         "mode": "consecutive",
         "counts": a,
         "routes": {
-            "leaf_path_weighted_engine": a,
+            "gap_state_recursion": a,
             "per_vertex_explicit_enumeration": b,
         },
     }

@@ -9,7 +9,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import re
 import sys
 from typing import Callable, Sequence
@@ -139,16 +138,14 @@ def _emit_object(obj, fmt: str, out) -> None:
         print(object_to_text(obj), file=out)
 
 
-def _default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_enumerate(args, out) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
+    if args.n < 0:  # a stream checks n only when first advanced
+        raise ValueError("n must be nonnegative")
     if args.family in FOREST_FAMILIES:
         family = FOREST_FAMILIES[args.family]
         if args.avoid:
@@ -280,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid", required=True)
     p.add_argument("--mode", choices=["classical", "consecutive", "mixed"], default="mixed")
     p.add_argument("--by", choices=list(counting.STATISTICS))
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int)
     add_format(p)
 
@@ -290,18 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     add_format(p, ("text", "json"))
 
-    p = sub.add_parser("verify", help="check a named result against brute force")
+    p = sub.add_parser("verify", help="check a named result against the counting engine")
     p.add_argument(
         "--theorem", required=True, choices=sorted(verify.CHECKS) + ["all"]
     )
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     add_format(p)
 
     p = sub.add_parser("table", help="recompute a bundled reference table")
     p.add_argument("--figure", required=True, choices=sorted(counting.REFERENCE_TABLES))
     p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int)
     add_format(p)
 

@@ -1,34 +1,38 @@
 """Exact counting: combinatorial number families, closed-form counts for
-the forest avoidance classes, and the brute-force engine they are checked
-against.
+the forest avoidance classes, and the engine they are checked against.
 
 Everything is exact integer arithmetic.  Formulas with rational
 intermediate terms (1/k!, 1/2^l) are evaluated with ``fractions.Fraction``
 and must come out integral; a non-integral result means the formula was
 transcribed wrong and raises :class:`InternalNonInteger`.
 
-The brute-force engine is one tally pass.  One worker per slice of parent
-vectors (split by the first vertex's parent) enumerates its vectors,
-memoizes pattern containment per root-to-leaf label path, and adds each
-forest's weight under the key (mask of pattern atoms hit, statistic
-value); plain counts are the value-0 case, and refined counts use the
-number of trees or of top-down maxima.  Each pattern set then sums the
-keys whose mask misses it, so sweeping many pattern sets over one family
-costs a single enumeration pass.  Counting for the ordered family weights
-each parent vector by the number of child-order arrangements (avoidance
-never depends on child order).
+Avoider counts come from the gap-state recursion (``_gap_count``).
+Avoidance depends only on the relative order of each root path and of the
+labels still to place, so a state is a standardized root path plus the
+number of labels left in each gap between its values.  Splitting off the
+tree that holds the smallest label gives a recursion over a few hundred
+to a few thousand states per pattern set, memoized for one call only.
+Paths keep only what later occurrences can use: the last k - 1 values
+when every pattern is consecutive, and the values of the undominated
+prefix occurrences (``_needless``) when every pattern is classical.
+The number of trees
+is tracked where the family needs it (binary nodes take at most two
+children, ordered nodes weigh t trees by t!), and the refined counts key
+each forest by its trees or top-down maxima.
 
-The avoider stream ``gen_avoiders`` walks the same parent vectors with
-the same memoized path masks, stops at the first leaf path that hits a
-pattern, and builds forests (and, for the ordered family, child orders)
-only for the vectors that avoid every pattern.
+The parent-vector tally (``_tally``) enumerates every forest instead; no
+command uses it, and the tests keep it as the independent oracle of the
+recursion.  The avoider stream ``gen_avoiders`` walks the same parent
+vectors with memoized path masks and builds forests (and, for the
+ordered family, child orders) only for the vectors that avoid every
+pattern.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -172,7 +176,7 @@ def formula(name: str, n: int) -> int:
 
 
 # Which pattern sets each formula enumerates; every pair is checked against
-# the brute-force engine in the test suite.
+# the counting engine in the test suite.
 FORMULA_CLASSES: dict[str, list[tuple[int, ...]]] = {
     "unimodal": [(213, 312), (231, 132)],
     "uni123": [(213, 312, 123), (231, 132, 321)],
@@ -227,7 +231,7 @@ def _check_budget(n: int, family: FamilyTag, budget: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# brute-force sweep engine
+# pattern atoms and root paths
 
 AtomSpec = tuple[tuple[int, ...], bool]  # (pattern word, consecutive?)
 
@@ -256,48 +260,6 @@ def _leaf_paths_of_vector(n: int, vec: tuple[int, ...]) -> list[tuple[int, ...]]
     return _leaf_paths(children)
 
 
-STATISTICS = ("tdm", "trees")
-
-
-def _statistic(statistic: str, vec: tuple[int, ...], paths) -> int:
-    if statistic == "trees":
-        return vec.count(0)
-    tdm: set[int] = set()  # top-down maxima, collected along the leaf paths
-    for path in paths:
-        best = 0
-        for v in path:
-            if v > best:
-                tdm.add(v)
-                best = v
-    return len(tdm)
-
-
-def _tally_slice(args) -> dict[tuple[int, int], int]:
-    """Forest weight of one generation slice, keyed by (mask of atoms hit,
-    statistic value); the value is 0 when no statistic is asked for."""
-    n, family_value, atoms, statistic, first_parent = args
-    family = FamilyTag(family_value)
-    binary = family is FamilyTag.UNORDERED_BINARY
-    ordered = family is FamilyTag.ORDERED
-    tally: dict[tuple[int, int], int] = {}
-    cache: dict[tuple[int, ...], int] = {}
-    for vec in iter_parent_vectors(n, binary=binary, first_parent=first_parent):
-        paths = _leaf_paths_of_vector(n, vec)
-        mask = 0
-        for path in paths:
-            m = cache.get(path)
-            if m is None:
-                m = _path_mask(path, atoms)
-                cache[path] = m
-            mask |= m
-        # A refined count has one pattern set holding every atom, so only
-        # forests that hit no atom need their statistic.
-        value = _statistic(statistic, vec, paths) if statistic and not mask else 0
-        key = (mask, value)
-        tally[key] = tally.get(key, 0) + (_child_order_weight(vec) if ordered else 1)
-    return tally
-
-
 def _compile_sets(
     pattern_sets: Sequence[Sequence[Pattern]],
 ) -> tuple[tuple[AtomSpec, ...], list[int]]:
@@ -316,6 +278,9 @@ def _compile_sets(
             mask |= 1 << index[spec]
         set_masks.append(mask)
     return tuple(atoms), set_masks
+
+
+STATISTICS = ("tdm", "trees")
 
 
 def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iterator[Forest]:
@@ -339,7 +304,283 @@ def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iter
             yield from _forests_of_vector(n, vec, ordered)
 
 
-def _tally(
+# ---------------------------------------------------------------------------
+# the gap-state recursion (the counting engine)
+
+
+def _packed(acc: list[int]) -> tuple[int, ...]:
+    """``acc`` without its trailing zeros, as a tuple."""
+    end = len(acc)
+    while end and not acc[end - 1]:
+        end -= 1
+    return tuple(acc[:end])
+
+
+# For each atom, the occurrences in a path of its proper prefixes, longest
+# prefixes first: (prefix length, values used, for each later letter the
+# gaps of its interval as a bit mask, and the intervals that need two or
+# more later letters as (first gap, end gap, how many)).
+Occurrences = list[list[tuple[int, tuple[int, ...], tuple[int, ...], tuple]]]
+
+
+def _intervals(word: tuple[int, ...], a: int) -> list[int]:
+    """For each letter of ``word`` after the first ``a``, how many of the
+    first ``a`` letters are smaller: the interval between them it lies in."""
+    return [sum(x < y for x in word[:a]) for y in word[a:]]
+
+
+def _occurrences(path: tuple[int, ...], words: Sequence[tuple[int, ...]]) -> Occurrences:
+    """The occurrences in ``path`` of every proper prefix of every atom."""
+    top = len(path) + 1
+    out = []
+    for word in words:
+        found = []
+        for a in range(len(word) - 1, 0, -1):
+            head = word[:a]
+            order = [(x, y, head[x] < head[y]) for x in range(a) for y in range(x + 1, a)]
+            need = _intervals(word, a)
+            crowded = {j for j in need if need.count(j) > 1}
+            for pos in combinations(range(len(path)), a):
+                values = tuple(path[i] for i in pos)
+                if any((values[x] < values[y]) != less for x, y, less in order):
+                    continue
+                bounds = (0, *sorted(values), top)
+                found.append((
+                    a,
+                    values,
+                    tuple((1 << bounds[j + 1]) - (1 << bounds[j]) for j in need),
+                    tuple((bounds[j], bounds[j + 1], need.count(j)) for j in crowded),
+                ))
+        out.append(found)
+    return out
+
+
+def _crowding(words: Sequence[tuple[int, ...]]) -> int:
+    """The most later letters of an atom that share one interval between
+    the values of a prefix (at least 1): ``_needless`` reads gap counts
+    only up to it."""
+    most = 1
+    for word in words:
+        for a in range(1, len(word)):
+            need = _intervals(word, a)
+            most = max(most, *map(need.count, need))
+    return most
+
+
+def _needless(caps: tuple[int, ...], occurrences: Occurrences) -> tuple[int, ...]:
+    """The values of a path that no later occurrence of a classical atom
+    needs, given its gap counts ``caps`` (capped at ``_crowding``) and the
+    ``_occurrences`` in it of the atoms' prefixes.
+
+    An occurrence of the first ``a`` letters of an atom is finished by
+    later values with the pattern of the other letters, each from the
+    gaps inside its interval between the occurrence's values; it is dead
+    when those gaps hold too few labels.  A live occurrence of the first
+    ``b >= a`` letters dominates it when, for each letter after the
+    ``b``-th, its interval holds every nonempty gap of the other's: every
+    future that finishes the dominated occurrence finishes the dominating
+    one too.  Occurrences of one prefix with the same nonempty gaps form
+    a class, and a tie between prefixes goes to the longer one.  Values
+    are dropped while every undominated class keeps an occurrence whose
+    values all stay; then no future changes whether the path hits an
+    atom, with the gaps beside each dropped value merged.
+    """
+    nonempty = sum(1 << i for i, c in enumerate(caps) if c)
+    classes = []  # (prefix length, nonempty gaps per later letter, occurrences with exactly those)
+    for found in occurrences:
+        best: list[tuple[int, list[int], list[tuple[int, ...]]]] = []  # undominated
+        for a, values, spans, crowded in found:
+            masks = [span & nonempty for span in spans]
+            if not all(masks) or any(sum(caps[start:end]) < k for start, end, k in crowded):
+                continue  # dead: an interval holds too few labels
+            for b, other, same in best:
+                if b == a and other == masks:
+                    same.append(values)
+                    break
+                if not any(mine & ~theirs for theirs, mine in zip(other, masks[b - a :])):
+                    break  # dominated
+            else:
+                best = [
+                    (b, other, same)
+                    for b, other, same in best
+                    if b != a or any(theirs & ~mine for theirs, mine in zip(other, masks))
+                ]
+                best.append((a, masks, [values]))
+        classes += best
+    # Every undominated class needs one of its occurrences on the path;
+    # drop values while that holds.
+    kept = {v for _, _, same in classes for values in same for v in values}
+    must = {v for _, _, same in classes if len(same) == 1 for v in same[0]}
+    for v in sorted(kept - must):
+        kept.discard(v)
+        if not all(any(kept.issuperset(values) for values in same) for _, _, same in classes):
+            kept.add(v)
+    return tuple(v for v in range(1, len(caps)) if v not in kept)
+
+
+def _drop_values(
+    path: tuple[int, ...], gaps: tuple[int, ...], drop: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``path`` without the values ``drop``, restandardized, and its gaps
+    with the two beside each dropped value merged."""
+    merged = [gaps[0]]
+    for v in range(1, len(path) + 1):
+        if v in drop:
+            merged[-1] += gaps[v]
+        else:
+            merged.append(gaps[v])
+    return tuple(x - sum(d < x for d in drop) for x in path if x not in drop), tuple(merged)
+
+
+def _gap_count(
+    n: int, family: FamilyTag, atoms: Sequence[AtomSpec], statistic: str | None
+) -> dict[int, int]:
+    """Avoider weight on [n] of the forests whose root paths hit no atom,
+    by statistic value (0 when none is asked for); only positive weights.
+
+    A state ``(P, g)`` is a standardized root path ``P`` and the numbers
+    ``g[i]`` of labels still to place between its i-th and (i+1)-th
+    smallest values (gap 0 lies below them all, gap ``len(P)`` above).
+    The forests of a state split at the tree holding the smallest label
+    ``m``: that tree takes ``c[i]`` labels from gap ``i``, chosen in
+    ``C(g[i], c[i])`` ways (``C(g[i] - 1, c[i] - 1)`` in m's own gap),
+    its root ``r`` is the (j+1)-th of them in some gap ``i`` (skipped when
+    ``P·r`` contains an atom), and the subtrees of the root form the
+    forest of the state with path ``P·r`` and gap ``i`` split into ``j``
+    and ``c[i] - 1 - j``.  The other trees form ``(P, g - c)``.  The memos
+    live for one call and are cleared before it returns.
+    """
+    binary = family is FamilyTag.UNORDERED_BINARY
+    ordered = family is FamilyTag.ORDERED
+    tdm = statistic == "tdm"
+    # A value is a tuple of weights indexed by t * base + s, for t trees and
+    # statistic s (top-down maxima, else 0), without trailing zeros.  t is
+    # only kept for binary and ordered nodes and for the trees statistic;
+    # elsewhere every forest counts at t = 0.
+    base = n + 1 if tdm else 1
+    step = base if binary or ordered or statistic == "trees" else 0
+    # When every atom is consecutive, only the last k - 1 path values can
+    # take part in a later occurrence; when every atom is classical, the
+    # values that no later occurrence needs are dropped (``_needless``).
+    # tdm needs the whole path.
+    keep = None
+    compress = False
+    if not tdm and all(consecutive for _, consecutive in atoms):
+        keep = max(len(word) for word, _ in atoms) - 1
+    elif not tdm and not any(consecutive for _, consecutive in atoms):
+        compress = True
+        words = [word for word, _ in atoms]
+        cap = _crowding(words)
+    choose = [[comb(a, b) for b in range(n + 1)] for a in range(n + 1)]
+    arrangements = [factorial(t) if ordered else 1 for t in range(n + 1)]
+    unit = (1,)  # the empty forest
+    hits: dict[tuple[int, ...], bool] = {}
+    needless: dict[tuple, tuple[int, ...]] = {}
+    occurrences: dict[tuple[int, ...], Occurrences] = {}
+    forests: dict[tuple, tuple[int, ...]] = {}
+    trees: dict[tuple, tuple[int, ...]] = {}
+
+    def below(path: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[int, ...]:
+        """Forests under a vertex, weighted by their child orders and indexed
+        by statistic alone."""
+        drop: tuple[int, ...] = ()
+        if keep is not None and len(path) > keep:
+            drop = (path[0],)  # the oldest value leaves the window
+        elif compress:
+            key = (path, tuple(min(g, cap) for g in gaps))
+            drop = needless.get(key)
+            if drop is None:
+                found = occurrences.get(path)
+                if found is None:
+                    found = occurrences[path] = _occurrences(path, words)
+                drop = needless[key] = _needless(key[1], found)
+        if drop:
+            path, gaps = _drop_values(path, gaps, drop)
+        if not any(gaps):
+            return unit
+        value = forest(path, gaps)
+        if not step:
+            return value
+        acc = [0] * base
+        for k, weight in enumerate(value):
+            if weight:
+                t, s = divmod(k, base)
+                acc[s] += weight * arrangements[t]
+        return _packed(acc)
+
+    def tree(path: tuple[int, ...], counts: tuple[int, ...]) -> tuple[int, ...]:
+        """Trees below ``path`` whose labels fill its gaps as ``counts``."""
+        key = (path, counts)
+        out = trees.get(key)
+        if out is not None:
+            return out
+        acc = [0] * base
+        for i, size in enumerate(counts):
+            if not size:
+                continue
+            grown = tuple(v + (v > i) for v in path) + (i + 1,)
+            hit = hits.get(grown)
+            if hit is None:
+                hit = hits[grown] = _path_mask(grown, atoms) != 0
+            if hit:
+                continue
+            lift = 1 if tdm and i == len(path) else 0
+            head, tail = counts[:i], counts[i + 1 :]
+            for j in range(size):
+                for s, weight in enumerate(below(grown, head + (j, size - 1 - j) + tail)):
+                    acc[s + lift] += weight
+        out = trees[key] = _packed(acc)
+        return out
+
+    def forest(path: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[int, ...]:
+        """Forests below ``path`` whose labels fill its gaps as ``gaps``."""
+        key = (path, gaps)
+        out = forests.get(key)
+        if out is not None:
+            return out
+        low = next(i for i, size in enumerate(gaps) if size)  # m's gap
+        options = [
+            [(c, choose[size - 1][c - 1]) for c in range(1, size + 1)]
+            if i == low
+            else [(c, choose[size][c]) for c in range(size + 1)]
+            for i, size in enumerate(gaps)
+        ]
+        acc = [0] * ((n + 1) * base if step else base)
+        for picks in product(*options):
+            counts = tuple(c for c, _ in picks)
+            first = tree(path, counts)
+            if not first:
+                continue
+            ways = 1
+            for _, w in picks:
+                ways *= w
+            left = tuple(a - b for a, b in zip(gaps, counts))
+            rest = forest(path, left) if any(left) else unit
+            for k, weight in enumerate(rest):
+                if binary and k >= 2 * base:
+                    break  # a third tree
+                if weight:
+                    k += step
+                    for s, w in enumerate(first):
+                        acc[k + s] += ways * weight * w
+        out = forests[key] = _packed(acc)
+        return out
+
+    try:
+        top = forest((), (n,)) if n else unit
+        result: dict[int, int] = {}
+        for k, weight in enumerate(top):
+            if weight:
+                t, s = divmod(k, base) if step else (0, k)
+                value = t if statistic == "trees" else s
+                result[value] = result.get(value, 0) + weight * arrangements[t]
+        return result
+    finally:
+        for memo in (hits, needless, occurrences, forests, trees):
+            memo.clear()
+
+
+def _counts(
     n: int,
     family: FamilyTag,
     pattern_sets: Sequence[Sequence[Pattern]],
@@ -347,31 +588,17 @@ def _tally(
     jobs: int,
     budget: int | None,
 ) -> list[dict[int, int]]:
-    """Avoider weight of each pattern set, by statistic value, in one pass.
-
-    The pass is partitioned by the first vertex's parent, so the result is
-    a fixed sum of per-slice tallies and identical for any number of jobs.
-    """
+    """Avoider weight of each pattern set, by statistic value."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _check_budget(n, family, budget)
     atoms, set_masks = _compile_sets(pattern_sets)
-    slices = [j for j in range(n + 1) if j != 1] if n else [None]
-    arg_list = [(n, family.value, atoms, statistic, j) for j in slices]
-    if jobs > 1 and len(slices) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-            partials = list(pool.map(_tally_slice, arg_list))
-    else:
-        partials = [_tally_slice(a) for a in arg_list]
-    totals: list[dict[int, int]] = [{} for _ in set_masks]
-    for part in partials:
-        for (mask, value), weight in part.items():
-            for sm, total in zip(set_masks, totals):
-                if not mask & sm:
-                    total[value] = total.get(value, 0) + weight
-    return totals
+    return [
+        _gap_count(n, family, [a for bit, a in enumerate(atoms) if mask >> bit & 1], statistic)
+        for mask in set_masks
+    ]
 
 
 def sweep_counts(
@@ -381,9 +608,9 @@ def sweep_counts(
     jobs: int = 1,
     budget: int | None = None,
 ) -> list[int]:
-    """Avoider counts for many pattern sets in one enumeration pass,
-    identical for any number of jobs."""
-    return [t.get(0, 0) for t in _tally(n, family, pattern_sets, None, jobs, budget)]
+    """Avoider counts for many pattern sets.  ``jobs`` is accepted for
+    compatibility; the result is the same for every value."""
+    return [t.get(0, 0) for t in _counts(n, family, pattern_sets, None, jobs, budget)]
 
 
 def brute_count(
@@ -411,7 +638,7 @@ def refined_table(
     """Avoider counts refined by a statistic (``tdm`` or ``trees``)."""
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
-    return _tally(n, family, [list(patterns)], statistic, jobs, budget)[0]
+    return _counts(n, family, [list(patterns)], statistic, jobs, budget)[0]
 
 
 def refined_count(
@@ -426,6 +653,59 @@ def refined_count(
     return refined_table(n, family, patterns, statistic, jobs=jobs, budget=budget).get(
         value, 0
     )
+
+
+# ---------------------------------------------------------------------------
+# the parent-vector tally (the independent oracle of the tests)
+
+
+def _statistic(statistic: str, vec: tuple[int, ...], paths) -> int:
+    if statistic == "trees":
+        return vec.count(0)
+    tdm: set[int] = set()  # top-down maxima, collected along the leaf paths
+    for path in paths:
+        best = 0
+        for v in path:
+            if v > best:
+                tdm.add(v)
+                best = v
+    return len(tdm)
+
+
+def _tally(
+    n: int,
+    family: FamilyTag,
+    pattern_sets: Sequence[Sequence[Pattern]],
+    statistic: str | None = None,
+) -> list[dict[int, int]]:
+    """Avoider weight of each pattern set, by statistic value, from one pass
+    over every parent vector: each forest's weight is tallied under (mask of
+    atoms hit, statistic value), with one memoized mask per leaf path, and
+    each set sums the keys whose mask misses it.  The ordered family weights
+    a vector by its child orders (avoidance never depends on them)."""
+    atoms, set_masks = _compile_sets(pattern_sets)
+    ordered = family is FamilyTag.ORDERED
+    tally: dict[tuple[int, int], int] = {}
+    cache: dict[tuple[int, ...], int] = {}
+    for vec in iter_parent_vectors(n, binary=family is FamilyTag.UNORDERED_BINARY):
+        paths = _leaf_paths_of_vector(n, vec)
+        mask = 0
+        for path in paths:
+            m = cache.get(path)
+            if m is None:
+                m = cache[path] = _path_mask(path, atoms)
+            mask |= m
+        # A refined count has one pattern set holding every atom, so only
+        # forests that hit no atom need their statistic.
+        value = _statistic(statistic, vec, paths) if statistic and not mask else 0
+        key = (mask, value)
+        tally[key] = tally.get(key, 0) + (_child_order_weight(vec) if ordered else 1)
+    totals: list[dict[int, int]] = [{} for _ in set_masks]
+    for (mask, value), weight in tally.items():
+        for sm, total in zip(set_masks, totals):
+            if not mask & sm:
+                total[value] = total.get(value, 0) + weight
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,20 @@ class Forest:
         self.labels = labels
         self.n = len(labels)
         self._children = reached
-        order_key = None if child_order is None else tuple(co.values())
-        self._key = (labels, tuple(map(parent.__getitem__, labels)), order_key)
-        self._hash = hash(self._key)
+        self._hash = None  # the identity key and its hash, made when first asked
+
+    def _identity(self) -> tuple:
+        if self._hash is None:
+            order_key = None if self.child_order is None else tuple(self.child_order.values())
+            self._key = (self.labels, tuple(map(self.parent.__getitem__, self.labels)), order_key)
+            self._hash = hash(self._key)
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self._key == other._key
+        return isinstance(other, Forest) and self._identity() == other._identity()
 
     def __hash__(self) -> int:
+        self._identity()
         return self._hash
 
     def __repr__(self) -> str:

@@ -136,18 +136,14 @@ class Composition:
 # forest enumeration
 
 
-def iter_parent_vectors(
-    n: int, binary: bool = False, first_parent: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def iter_parent_vectors(n: int, binary: bool = False) -> Iterator[tuple[int, ...]]:
     """All acyclic parent vectors (p_1, ..., p_n) in lexicographic order.
 
     ``binary`` caps every vertex, including the virtual root, at two
-    children.  ``first_parent`` restricts p_1 (used to partition the search
-    space across workers; the slices cover the space disjointly).
+    children.
     """
     if n == 0:
-        if first_parent is None:
-            yield ()
+        yield ()
         return
     parents = [0] * (n + 1)
     child_count = [0] * (n + 1)
@@ -156,11 +152,7 @@ def iter_parent_vectors(
         if i > n:
             yield tuple(parents[1:])
             return
-        if i == 1 and first_parent is not None:
-            choices: Iterable[int] = (first_parent,)
-        else:
-            choices = range(n + 1)
-        for j in choices:
+        for j in range(n + 1):
             if j == i:
                 continue
             if binary and child_count[j] >= 2:

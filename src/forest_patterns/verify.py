@@ -1,4 +1,4 @@
-"""Named machine checks pitting closed forms against the brute-force engine.
+"""Named machine checks pitting closed forms against the counting engine.
 
 Each check yields one row per (n, subject) pair so the CLI can print a
 PASS/FAIL table.  All comparisons are exact.

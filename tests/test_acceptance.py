@@ -121,7 +121,7 @@ def test_criterion_3_ordered_table_and_missing_entries():
 
         golden = json.loads(GOLDEN.read_text())
         assert golden["family"] == "ordered" and golden["n"] == 5
-        # route A: the engine's leaf-path checker over weighted parent vectors
+        # route A: the counting engine, the gap-state recursion
         for pat, value in golden["counts"].items():
             assert got[("consecutive", pat, 5)] == value
         # route B: per-vertex checker over explicitly enumerated ordered forests

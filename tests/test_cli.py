@@ -225,12 +225,30 @@ def test_budget_exceeded_is_reported():
         ["enumerate", "--family", "set-partitions", "--n", "-1"],
         ["enumerate", "--family", "compositions", "--n", "-2"],
         ["enumerate", "--family", "unordered", "--n", "3", "--limit", "-1"],
+        ["enumerate", "--family", "unordered", "--n", "-1", "--avoid", "321", "--limit", "0"],
+        ["enumerate", "--family", "set-partitions", "--n", "-1", "--limit", "0"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
     code, out = invoke(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--family", "unordered", "--n", "-1", "--avoid", "321"],
+        ["enumerate", "--family", "set-partitions", "--n", "-1"],
+    ],
+)
+def test_negative_n_fails_before_the_stream_is_read(argv, capsys):
+    errors = []
+    for extra in ([], ["--limit", "0"]):
+        code, out = invoke(*argv, *extra)
+        assert code == 2 and out == ""
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: n must be nonnegative\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -26,6 +27,7 @@ from forest_patterns import (
 from forest_patterns import counting
 from forest_patterns.counting import FORMULA_CLASSES, STATISTICS, budget_for
 from forest_patterns.forests import avoids, avoids_per_vertex, top_down_maxima
+from forest_patterns.perms import word_contains_classical
 
 # one classical, one consecutive, and one two-pattern set
 OBJECT_ROUTE_SETS = [("321",), ("!231",), ("213", "312")]
@@ -78,11 +80,11 @@ class TestFormulas:
             formula("nope", 3)
 
     @pytest.mark.parametrize("name", sorted(FORMULA_CLASSES))
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", [*range(1, 6), 9])
     def test_formula_matches_brute_force(self, name, n):
         expected = formula(name, n)
         for words in FORMULA_CLASSES[name]:
-            got = brute_count(n, FamilyTag.UNORDERED, [pattern(w) for w in words])
+            got = brute_count(n, FamilyTag.UNORDERED, [pattern(w) for w in words], budget=9)
             assert got == expected
 
 
@@ -195,6 +197,128 @@ class TestRefinedCounts:
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             refined_table(3, FamilyTag.UNORDERED, [pattern(21)], "leaves")
+
+
+LENGTH_THREE = ("123", "132", "213", "231", "312", "321")
+LENGTH_THREE_SETS = [
+    words for r in range(1, 7) for words in combinations(LENGTH_THREE, r)
+]
+MIXED_AND_LONGER_SETS = [("123", "!321"), ("!321", "132"), ("321", "2143", "3142"), ("!2143",), ("1",)]
+
+
+def _top_n(family):
+    return 4 if family is FamilyTag.ORDERED else 5
+
+
+class TestTwoRoutes:
+    """The recursion behind every count against the parent-vector tally."""
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("prefix", ["", "!"], ids=["classical", "consecutive"])
+    def test_every_set_of_length_three_patterns(self, family, prefix):
+        assert len(LENGTH_THREE_SETS) == 63
+        sets = [[pattern(prefix + w) for w in words] for words in LENGTH_THREE_SETS]
+        for n in range(_top_n(family) + 1):
+            oracle = [t.get(0, 0) for t in counting._tally(n, family, sets)]
+            assert sweep_counts(n, family, sets) == oracle, n
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    def test_mixed_and_longer_sets(self, family):
+        sets = [[pattern(w) for w in words] for words in MIXED_AND_LONGER_SETS]
+        for n in range(6):
+            oracle = [t.get(0, 0) for t in counting._tally(n, family, sets)]
+            assert sweep_counts(n, family, sets) == oracle, n
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_refinements(self, family, statistic):
+        for words in [(w,) for w in LENGTH_THREE] + [("!" + w,) for w in LENGTH_THREE] + [
+            *OBJECT_ROUTE_SETS,
+            *MIXED_AND_LONGER_SETS,
+        ]:
+            pats = [pattern(w) for w in words]
+            for n in range(5):
+                oracle = counting._tally(n, family, [pats], statistic)[0]
+                assert refined_table(n, family, pats, statistic) == oracle, (words, n)
+
+    def test_no_count_enumerates_parent_vectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count enumerated parent vectors")
+
+        monkeypatch.setattr(counting, "iter_parent_vectors", refuse)
+        assert brute_count(7, FamilyTag.UNORDERED, [pattern(321)]) == 123417
+        assert sweep_counts(5, FamilyTag.UNORDERED, [[pattern(321)], [pattern(231)]]) == [918, 917]
+        tdm = refined_table(5, FamilyTag.UNORDERED, [pattern(213), pattern(312)], "tdm")
+        assert tdm == {k: factorial(k) * stirling1(5, k) for k in range(1, 6)}
+        assert [r["computed"] for r in table_rows("13", 4) if r["n"] == 4][:3] == [304, 304, 304]
+        with pytest.raises(AssertionError, match="parent vectors"):
+            counting._tally(2, FamilyTag.UNORDERED, [[pattern(21)]])
+
+
+COMPRESSED_SETS = [(w,) for w in LENGTH_THREE] + [("213", "312"), ("321", "2143", "3142"), ("1234",)]
+
+
+def _futures(caps, longest):
+    """Every word of 1..longest values taken from the gaps of a path, at most
+    caps[i] from gap i, once per relative order.  Path value x stands for
+    10 * x, the r-th smallest new value of gap i for 10 * i + 1 + r."""
+    for length in range(1, longest + 1):
+        for seq in product(range(len(caps)), repeat=length):
+            uses = Counter(seq)
+            if any(k > caps[i] for i, k in uses.items()):
+                continue
+            used = sorted(uses)
+            for ranks in product(*(permutations(range(uses[i])) for i in used)):
+                order = {i: iter(r) for i, r in zip(used, ranks)}
+                yield tuple(10 * i + 1 + next(order[i]) for i in seq)
+
+
+class TestClassicalCompression:
+    """Dropping the path values that no later occurrence needs."""
+
+    @pytest.mark.parametrize("words", COMPRESSED_SETS, ids="-".join)
+    def test_dropped_values_change_no_future(self, words):
+        atoms = [tuple(int(c) for c in w) for w in words]
+        longest = max(map(len, atoms)) - 1  # values an occurrence takes after the path
+
+        def hit(seq):
+            return any(word_contains_classical(seq, a) for a in atoms)
+
+        dropped = 0
+        for length in range(1, 6 - longest):
+            for path in permutations(range(1, length + 1)):
+                if hit(path):
+                    continue
+                found = counting._occurrences(path, atoms)
+                for caps in product(range(3), repeat=length + 1):
+                    drop = counting._needless(caps, found)
+                    dropped += len(drop)
+                    whole = tuple(10 * x for x in path)
+                    rest = tuple(10 * x for x in path if x not in drop)
+                    for future in _futures(caps, longest):
+                        assert hit(whole + future) == hit(rest + future), (path, caps, drop, future)
+        assert dropped
+
+    def test_321_keeps_the_maximum_and_the_largest_value_after_a_larger_one(self):
+        found = counting._occurrences((2, 4, 1, 3), [(3, 2, 1)])
+        assert counting._needless((2, 2, 2, 2, 2), found) == (1, 2)
+        # with no label between 1 and 4, the pairs (2, 1), (4, 1) and (4, 3)
+        # need the same labels, and one of them is enough
+        assert counting._needless((2, 0, 0, 0, 2), found) == (1, 2)
+
+    def test_dead_occurrences_are_dropped(self):
+        found = counting._occurrences((1,), [(1, 2, 3)])
+        assert counting._needless((2, 1), found) == (1,)  # one label above 1
+        assert counting._needless((0, 2), found) == ()
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    def test_equals_the_uncompressed_recursion(self, family, monkeypatch):
+        # n = 7, and n = 6 for sets with length-4 patterns
+        sets = [[pattern(w) for w in words] for words in COMPRESSED_SETS]
+        sizes = [7 if all(len(w) == 3 for w in words) else 6 for words in COMPRESSED_SETS]
+        compressed = [brute_count(n, family, pats, budget=7) for n, pats in zip(sizes, sets)]
+        monkeypatch.setattr(counting, "_needless", lambda caps, found: ())
+        assert [brute_count(n, family, pats, budget=7) for n, pats in zip(sizes, sets)] == compressed
 
 
 class TestAvoiderStream:

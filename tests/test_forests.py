@@ -82,6 +82,14 @@ class TestConstruction:
         assert a != b and a != Forest(base)
         assert a == Forest(base, {0: (1, 2), 1: (), 2: ()})
 
+    def test_ordered_forest_differs_from_its_unordered_base(self):
+        plain = from_parents(3, [0, 1, 1])
+        # child orders in ascending order: only being ordered tells them apart
+        ordered = Forest(plain.parent, {0: (1,), 1: (2, 3), 2: (), 3: ()})
+        assert ordered != plain and plain != ordered
+        assert len({plain, ordered, from_parents(3, {1: 0, 2: 1, 3: 1})}) == 2
+        assert hash(plain) == hash(from_parents(3, [0, 1, 1]))
+
     def test_child_order_must_match_children(self):
         with pytest.raises(ValueError):
             Forest({1: 0, 2: 0}, {0: (1,), 1: (), 2: ()})

@@ -65,13 +65,6 @@ class TestForestStreams:
         assert vecs == sorted(vecs)
         assert len(vecs) == 16
 
-    def test_prefix_slices_partition_the_space(self):
-        whole = list(iter_parent_vectors(4))
-        sliced = [
-            v for j in range(5) if j != 1 for v in iter_parent_vectors(4, first_parent=j)
-        ]
-        assert sorted(sliced) == whole
-
     def test_binary_restricts_virtual_root_too(self):
         tri_root = tuple(f.roots for f in gen_forests(3, FamilyTag.UNORDERED_BINARY))
         assert (1, 2, 3) not in tri_root
