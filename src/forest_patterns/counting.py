@@ -11,7 +11,12 @@ Avoidance depends only on the relative order of each root path and of the
 labels still to place, so a state is a standardized root path plus the
 number of labels left in each gap between its values.  Splitting off the
 tree that holds the smallest label gives a recursion over a few hundred
-to a few thousand states per pattern set, memoized for one call only.
+to a few thousand states per pattern set.  The forest of the state
+``((), (n,))`` recurses into ``((), (n - c,))``, so one recursion answers
+every n up to the largest asked for; ``count_sweep`` runs one per pattern
+set and family, and the families of a sweep share the set's path memos
+(atom hits, prefix occurrences, needless values), which depend on the
+patterns alone.  Nothing is memoized across calls.
 Paths keep only what later occurrences can use: the last k - 1 values
 when every pattern is consecutive, and the values of the undominated
 prefix occurrences (``_needless``) when every pattern is classical.
@@ -34,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .forests import FamilyTag, Forest, _leaf_paths
 from .generate import _child_order_weight, _forests_of_vector, iter_parent_vectors
@@ -221,12 +226,18 @@ def budget_for(family: FamilyTag) -> int:
     return table.get(family, DEFAULT_BUDGETS[family])
 
 
-def _check_budget(n: int, family: FamilyTag, budget: int | None) -> None:
-    cap = budget if budget is not None else budget_for(family)
+def check_budget(n: int, family: FamilyTag, budget: int | None = None) -> None:
+    """Raise :class:`BudgetExceeded` when ``n`` is above ``budget``, or above
+    ``budget_for(family)`` when no budget is given."""
+    if budget is not None:
+        if n > budget:
+            raise BudgetExceeded(f"n={n} exceeds the given {family.value} budget {budget}")
+        return
+    cap = budget_for(family)
     if n > cap:
         raise BudgetExceeded(
-            f"n={n} exceeds the {family.value} budget {cap}; raise it via the "
-            f"budget argument or the {_ENV_BUDGET} environment variable"
+            f"n={n} exceeds the {family.value} budget {cap}; set the "
+            f"{_ENV_BUDGET} environment variable to raise it"
         )
 
 
@@ -432,11 +443,34 @@ def _drop_values(
     return tuple(x - sum(d < x for d in drop) for x in path if x not in drop), tuple(merged)
 
 
+class _PathMemos:
+    """What the recursion learns from a root path alone: whether it hits an
+    atom, the occurrences in it of the atoms' prefixes, and its needless
+    values per capped gaps.  None of it depends on the family, so the
+    families of one sweep share one instance per pattern set."""
+
+    __slots__ = ("hits", "occurrences", "needless")
+
+    def __init__(self) -> None:
+        self.hits: dict[tuple[int, ...], bool] = {}
+        self.occurrences: dict[tuple[int, ...], Occurrences] = {}
+        self.needless: dict[tuple, tuple[int, ...]] = {}
+
+    def clear(self) -> None:
+        for memo in (self.hits, self.occurrences, self.needless):
+            memo.clear()
+
+
 def _gap_count(
-    n: int, family: FamilyTag, atoms: Sequence[AtomSpec], statistic: str | None
-) -> dict[int, int]:
+    max_n: int,
+    family: FamilyTag,
+    atoms: Sequence[AtomSpec],
+    statistic: str | None,
+    paths: _PathMemos,
+) -> list[dict[int, int]]:
     """Avoider weight on [n] of the forests whose root paths hit no atom,
-    by statistic value (0 when none is asked for); only positive weights.
+    by statistic value (0 when none is asked for), for every n from 0 to
+    ``max_n``: entry n holds only positive weights.
 
     A state ``(P, g)`` is a standardized root path ``P`` and the numbers
     ``g[i]`` of labels still to place between its i-th and (i+1)-th
@@ -447,8 +481,13 @@ def _gap_count(
     its root ``r`` is the (j+1)-th of them in some gap ``i`` (skipped when
     ``P·r`` contains an atom), and the subtrees of the root form the
     forest of the state with path ``P·r`` and gap ``i`` split into ``j``
-    and ``c[i] - 1 - j``.  The other trees form ``(P, g - c)``.  The memos
-    live for one call and are cleared before it returns.
+    and ``c[i] - 1 - j``.  The other trees form ``(P, g - c)``.
+
+    Entry n reads the state ``((), (n,))``; the recursion from the largest
+    of them passes through all the others, so one call answers every n.
+    The forest and tree memos live for one call and are cleared before it
+    returns; the path memos ``paths`` are the caller's, who may share them
+    with the calls for other families.
     """
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
@@ -456,8 +495,8 @@ def _gap_count(
     # A value is a tuple of weights indexed by t * base + s, for t trees and
     # statistic s (top-down maxima, else 0), without trailing zeros.  t is
     # only kept for binary and ordered nodes and for the trees statistic;
-    # elsewhere every forest counts at t = 0.
-    base = n + 1 if tdm else 1
+    # elsewhere every forest counts at t = 0.  One base serves every n.
+    base = max_n + 1 if tdm else 1
     step = base if binary or ordered or statistic == "trees" else 0
     # When every atom is consecutive, only the last k - 1 path values can
     # take part in a later occurrence; when every atom is classical, the
@@ -471,12 +510,10 @@ def _gap_count(
         compress = True
         words = [word for word, _ in atoms]
         cap = _crowding(words)
-    choose = [[comb(a, b) for b in range(n + 1)] for a in range(n + 1)]
-    arrangements = [factorial(t) if ordered else 1 for t in range(n + 1)]
+    choose = [[comb(a, b) for b in range(max_n + 1)] for a in range(max_n + 1)]
+    arrangements = [factorial(t) if ordered else 1 for t in range(max_n + 1)]
     unit = (1,)  # the empty forest
-    hits: dict[tuple[int, ...], bool] = {}
-    needless: dict[tuple, tuple[int, ...]] = {}
-    occurrences: dict[tuple[int, ...], Occurrences] = {}
+    hits, needless, occurrences = paths.hits, paths.needless, paths.occurrences
     forests: dict[tuple, tuple[int, ...]] = {}
     trees: dict[tuple, tuple[int, ...]] = {}
 
@@ -545,7 +582,7 @@ def _gap_count(
             else [(c, choose[size][c]) for c in range(size + 1)]
             for i, size in enumerate(gaps)
         ]
-        acc = [0] * ((n + 1) * base if step else base)
+        acc = [0] * ((max_n + 1) * base if step else base)
         for picks in product(*options):
             counts = tuple(c for c, _ in picks)
             first = tree(path, counts)
@@ -567,38 +604,65 @@ def _gap_count(
         return out
 
     try:
-        top = forest((), (n,)) if n else unit
-        result: dict[int, int] = {}
-        for k, weight in enumerate(top):
-            if weight:
-                t, s = divmod(k, base) if step else (0, k)
-                value = t if statistic == "trees" else s
-                result[value] = result.get(value, 0) + weight * arrangements[t]
-        return result
+        results = []
+        for m in range(max_n + 1):
+            result: dict[int, int] = {}
+            for k, weight in enumerate(forest((), (m,)) if m else unit):
+                if weight:
+                    t, s = divmod(k, base) if step else (0, k)
+                    value = t if statistic == "trees" else s
+                    result[value] = result.get(value, 0) + weight * arrangements[t]
+            results.append(result)
+        return results
     finally:
-        for memo in (hits, needless, occurrences, forests, trees):
-            memo.clear()
+        forests.clear()
+        trees.clear()
 
 
-def _counts(
-    n: int,
-    family: FamilyTag,
+def count_sweep(
+    caps: Mapping[FamilyTag, int],
     pattern_sets: Sequence[Sequence[Pattern]],
-    statistic: str | None,
-    jobs: int,
-    budget: int | None,
-) -> list[dict[int, int]]:
-    """Avoider weight of each pattern set, by statistic value."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    statistic: str | None = None,
+    jobs: int = 1,
+    budget: int | None = None,
+) -> dict[FamilyTag, list[list[dict[int, int]]]]:
+    """Avoider weight of each pattern set by statistic value (0 when none
+    is asked for), in each family of ``caps`` for every n from 0 to its
+    cap: ``out[family][i][n]`` for the i-th set.
+
+    The statistic, every n, jobs and every budget are checked before any
+    counting.  Sets run one at a time, and sets with the same patterns run
+    once: one recursion per family answers every n, the families share the
+    set's path memos, and the memos are freed before the next set.
+    ``jobs`` is accepted for compatibility; the result is the same for
+    every value.
+    """
+    if statistic is not None and statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
+    for n in caps.values():
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    _check_budget(n, family, budget)
+    for family, n in caps.items():
+        check_budget(n, family, budget)
     atoms, set_masks = _compile_sets(pattern_sets)
-    return [
-        _gap_count(n, family, [a for bit, a in enumerate(atoms) if mask >> bit & 1], statistic)
-        for mask in set_masks
-    ]
+    out: dict[FamilyTag, list[list[dict[int, int]]]] = {family: [] for family in caps}
+    done: dict[int, dict[FamilyTag, list[dict[int, int]]]] = {}
+    paths = _PathMemos()
+    for mask in set_masks:
+        if mask not in done:
+            chosen = [a for bit, a in enumerate(atoms) if mask >> bit & 1]
+            try:
+                done[mask] = {
+                    family: _gap_count(n, family, chosen, statistic, paths)
+                    for family, n in caps.items()
+                }
+            finally:
+                paths.clear()
+        for family in caps:
+            out[family].append(done[mask][family])
+    return out
 
 
 def sweep_counts(
@@ -610,7 +674,8 @@ def sweep_counts(
 ) -> list[int]:
     """Avoider counts for many pattern sets.  ``jobs`` is accepted for
     compatibility; the result is the same for every value."""
-    return [t.get(0, 0) for t in _counts(n, family, pattern_sets, None, jobs, budget)]
+    swept = count_sweep({family: n}, pattern_sets, jobs=jobs, budget=budget)[family]
+    return [by_n[n].get(0, 0) for by_n in swept]
 
 
 def brute_count(
@@ -638,7 +703,8 @@ def refined_table(
     """Avoider counts refined by a statistic (``tdm`` or ``trees``)."""
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
-    return _counts(n, family, [list(patterns)], statistic, jobs, budget)[0]
+    swept = count_sweep({family: n}, [list(patterns)], statistic, jobs=jobs, budget=budget)
+    return swept[family][0][n]
 
 
 def refined_count(
@@ -768,7 +834,6 @@ def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None
         raise KeyError(f"unknown table {figure!r}; valid: {sorted(REFERENCE_TABLES)}")
     ref = REFERENCE_TABLES[figure]
     family: FamilyTag = ref["family"]
-    _check_budget(max_n, family, budget)
     pattern_sets = []
     meta = []
     for mode in ("classical", "consecutive"):
@@ -776,9 +841,10 @@ def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None
             word = pat if mode == "classical" else "!" + pat
             pattern_sets.append([pattern(word)])
             meta.append((pat, mode))
+    swept = count_sweep({family: max(max_n, 0)}, pattern_sets, jobs=jobs, budget=budget)
     for n in range(1, max_n + 1):
-        computed = sweep_counts(n, family, pattern_sets, jobs=jobs, budget=budget)
-        for (pat, mode), value in zip(meta, computed):
+        for (pat, mode), by_n in zip(meta, swept[family]):
+            value = by_n[n].get(0, 0)
             expected_row = ref[mode][pat]
             expected = expected_row[n - 1] if n - 1 < len(expected_row) else None
             yield {

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -212,6 +213,47 @@ def test_usage_errors_exit_two():
 def test_budget_exceeded_is_reported():
     code, _ = invoke("count", "--family", "ordered", "--n", "9", "--avoid", "321", "--jobs", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--theorem", "duality", "--max-n", "9"], None, "n=9 exceeds the unordered budget 8"),
+        (["--theorem", "all", "--max-n", "6"], "binary=5", "n=6 exceeds the binary budget 5"),
+    ],
+)
+def test_verify_checks_every_budget_before_counting(monkeypatch, capsys, argv, env, message):
+    from forest_patterns import counting
+
+    def refuse(*args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(counting, "_gap_count", refuse)
+    if env:
+        monkeypatch.setenv("FOREST_PATTERNS_BUDGET", env)
+    code, out = invoke("verify", *argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}; set the FOREST_PATTERNS_BUDGET")
+    assert "budget argument" not in err
+
+
+# SHA-256 of `verify --theorem all --max-n 5` stdout (475 rows); a change to
+# how the engine shares work across n, sets or families must keep these bytes.
+VERIFY_ALL_5_SHA256 = {
+    "text": "4045325bccc9d0ea57843d1b69ff947e5721faf0e571bcd6182c86f0dba66798",
+    "json": "1fa82c7bf35e0598fc31b0a867a31804653436a366f6c4295c85a72456bdcd50",
+    "csv": "02ea1e6374042d967c7e38cd7712b96da3961915b1092ae8d96ba3bf27603a59",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_5_SHA256))
+def test_verify_all_output_bytes_are_pinned(fmt):
+    code, out = invoke("verify", "--theorem", "all", "--max-n", "5", "--format", fmt)
+    assert code == 0
+    if fmt == "text":
+        assert out.count("\n") == 475
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_5_SHA256[fmt]
 
 
 @pytest.mark.parametrize(

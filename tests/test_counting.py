@@ -197,6 +197,8 @@ class TestRefinedCounts:
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             refined_table(3, FamilyTag.UNORDERED, [pattern(21)], "leaves")
+        with pytest.raises(ValueError, match="unknown statistic"):
+            counting.count_sweep({FamilyTag.UNORDERED: 3}, [[pattern(21)]], "leaves")
 
 
 LENGTH_THREE = ("123", "132", "213", "231", "312", "321")
@@ -208,6 +210,22 @@ MIXED_AND_LONGER_SETS = [("123", "!321"), ("!321", "132"), ("321", "2143", "3142
 
 def _top_n(family):
     return 4 if family is FamilyTag.ORDERED else 5
+
+
+def _assert_rows(family, words, statistic, max_n):
+    """Row n of one call up to ``max_n`` equals the tally for n <= 4 and a
+    fresh call up to n above that."""
+    sets = [[pattern(w) for w in ws] for ws in words]
+    swept = counting.count_sweep({family: max_n}, sets, statistic, budget=max_n)[family]
+    assert all(len(by_n) == max_n + 1 for by_n in swept)
+    for n in range(max_n):
+        if n > 4:
+            oracle = [by_n[n] for by_n in counting.count_sweep({family: n}, sets, statistic)[family]]
+        elif statistic is None:
+            oracle = counting._tally(n, family, sets)
+        else:
+            oracle = [counting._tally(n, family, [s], statistic)[0] for s in sets]
+        assert [by_n[n] for by_n in swept] == oracle, n
 
 
 class TestTwoRoutes:
@@ -240,6 +258,54 @@ class TestTwoRoutes:
             for n in range(5):
                 oracle = counting._tally(n, family, [pats], statistic)[0]
                 assert refined_table(n, family, pats, statistic) == oracle, (words, n)
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("prefix", ["", "!"], ids=["classical", "consecutive"])
+    @pytest.mark.parametrize("statistic", [None, *STATISTICS], ids=["plain", *STATISTICS])
+    def test_one_call_answers_every_n(self, family, prefix, statistic):
+        words = [tuple(prefix + w for w in ws) for ws in LENGTH_THREE_SETS]
+        if not prefix:
+            words += MIXED_AND_LONGER_SETS
+        _assert_rows(family, words, statistic, 6)
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("statistic", [None, *STATISTICS], ids=["plain", *STATISTICS])
+    def test_one_call_answers_every_n_up_to_seven(self, family, statistic):
+        words = [(p + w,) for p in ("", "!") for w in LENGTH_THREE] + MIXED_AND_LONGER_SETS
+        _assert_rows(family, words, statistic, 7)
+
+    @pytest.mark.parametrize("statistic", [None, *STATISTICS], ids=["plain", *STATISTICS])
+    def test_families_share_path_memos(self, statistic):
+        words = [*OBJECT_ROUTE_SETS, *MIXED_AND_LONGER_SETS, *COMPRESSED_SETS]
+        sets = [[pattern(w) for w in ws] for ws in words]
+        caps = {family: 6 for family in FamilyTag}
+        shared = counting.count_sweep(caps, sets, statistic)
+        for family in FamilyTag:
+            assert shared[family] == counting.count_sweep({family: 6}, sets, statistic)[family]
+
+    def test_memos_are_freed_per_set_and_equal_sets_run_once(self, monkeypatch):
+        seen = []
+        gap_count = counting._gap_count
+
+        def spy(max_n, family, atoms, statistic, paths):
+            seen.append((family, tuple(atoms), len(paths.hits)))
+            return gap_count(max_n, family, atoms, statistic, paths)
+
+        monkeypatch.setattr(counting, "_gap_count", spy)
+        sets = [[pattern(321)], [pattern(231)], [pattern(321)]]
+        caps = {FamilyTag.UNORDERED: 4, FamilyTag.ORDERED: 3}
+        swept = counting.count_sweep(caps, sets)
+        assert [(family, atoms) for family, atoms, _ in seen] == [
+            (FamilyTag.UNORDERED, (((3, 2, 1), False),)),
+            (FamilyTag.ORDERED, (((3, 2, 1), False),)),
+            (FamilyTag.UNORDERED, (((2, 3, 1), False),)),
+            (FamilyTag.ORDERED, (((2, 3, 1), False),)),
+        ]
+        # each set starts from empty path memos, and its second family
+        # finds the first one's
+        assert [hits == 0 for _, _, hits in seen] == [True, False, True, False]
+        for family in caps:
+            assert swept[family][2] == swept[family][0]
 
     def test_no_count_enumerates_parent_vectors(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -378,11 +444,12 @@ class TestTableRows:
         assert all(isinstance(r["computed"], int) for r in rows)
 
     def test_budget_checked_before_any_sweep(self, monkeypatch):
-        swept = []
-        monkeypatch.setattr(counting, "sweep_counts", lambda *a, **k: swept.append(a) or [0] * 6)
+        def refuse(*args):
+            raise AssertionError("counted before the budget check")
+
+        monkeypatch.setattr(counting, "_gap_count", refuse)
         with pytest.raises(BudgetExceeded):
             next(table_rows("7", 9))
-        assert swept == []
 
     def test_unknown_figure(self):
         with pytest.raises(KeyError):
