@@ -7,9 +7,12 @@ round trips and image comparisons on small ground sets.
 
 The unimodal maps (``theta``, ``xi``, ``gamma``) share one decomposition:
 a forest avoiding {213, 312} is an increasing skeleton of top-down maxima
-with a group hung below each maximum.  ``_join`` builds a forest from a
-skeleton and its groups, ``_split`` reads them back, and the maps differ
-only in how they encode the skeleton and the groups.
+with a decreasing group hung below each maximum.  Both directions work
+on parent maps: ``_join`` adds the groups' parent maps to the skeleton's
+and validates one ``Forest``, and ``_split`` reads each maximum and its
+group's cycle straight off the forest's child lists in one DFS, so no
+skeleton or group forest is built.  The maps differ only in how they
+encode the skeleton and the groups.
 
 Inverse maps marked "derived" below (for the partitioned-cycle, ordered-
 partition and ordered-lists maps) read the structure back off the forest
@@ -19,18 +22,17 @@ the same exhaustive round-trip tests as the rest.
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Mapping, Sequence
+from bisect import bisect_right
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .forests import (
     DescentKind,
     Forest,
     avoids,
-    complement_forest,
     descent_kind,
     height,
     is_decreasing,
     is_increasing,
-    largest_increasing_subforest,
     top_down_maxima,
 )
 from .generate import ListPartition, OrderedSetPartition, SetPartition
@@ -64,7 +66,6 @@ class TauVariant(enum.Enum):
 
 _P312 = (pattern(312),)
 _P321 = (pattern(321),)
-_UNIMODAL = (pattern(213), pattern(312))
 _XI_CLASS = (pattern(213), pattern(312), pattern(123))
 _GAMMA_CLASS = (pattern(213), pattern(312), pattern(321))
 _TAU_CLASS = (pattern(312), pattern(213), pattern(132))
@@ -76,20 +77,50 @@ _PSI_CLASS = (pattern(321), pattern(2143), pattern(3142))
 # permutations <-> increasing / decreasing forests
 
 
+def _rightmost_earlier_smaller(word: Sequence[int]) -> dict[int, int]:
+    """For each entry of ``word``, in word order, the rightmost earlier
+    entry smaller than it, or 0 if there is none: one pass over a stack
+    of the entries that can still be the answer (increasing upwards)."""
+    parent: dict[int, int] = {}
+    stack: list[int] = []
+    for v in word:
+        while stack and stack[-1] > v:
+            stack.pop()
+        parent[v] = stack[-1] if stack else 0
+        stack.append(v)
+    return parent
+
+
+def _decreasing_parents(word: Sequence[int], root: int = 0) -> dict[int, int]:
+    """The increasing forest of ``word`` with its labels complemented
+    within the entries of ``word``, as a parent map whose roots hang from
+    ``root``."""
+    labels = sorted(word)
+    flip = dict(zip(labels, reversed(labels)))
+    flip[0] = root
+    return {flip[v]: flip[p] for v, p in _rightmost_earlier_smaller(word).items()}
+
+
+def _decreasing_word(f: Forest, roots: Sequence[int]) -> list[int]:
+    """Inverse of :func:`_decreasing_parents` on the vertices below
+    ``roots`` (ascending): the preorder that visits smaller labels first,
+    with labels complemented within the vertices visited."""
+    word: list[int] = []
+    stack = list(reversed(roots))  # popping yields smallest first
+    while stack:
+        v = stack.pop()
+        word.append(v)
+        stack.extend(reversed(f.children(v)))
+    labels = sorted(word)
+    flip = dict(zip(labels, reversed(labels)))
+    return [flip[v] for v in word]
+
+
 def perm_to_increasing_forest(p: Permutation) -> Forest:
     """Increasing forest from a permutation: left-to-right minima become
     roots; every other entry becomes a child of the rightmost earlier
     entry smaller than it."""
-    w = p.word
-    parent: dict[int, int] = {}
-    for idx, v in enumerate(w):
-        j = 0
-        for u in reversed(w[:idx]):
-            if u < v:
-                j = u
-                break
-        parent[v] = j
-    return Forest(parent)
+    return Forest(_rightmost_earlier_smaller(p.word))
 
 
 def _clockwise(f: Forest, roots: Sequence[int]) -> list[int]:
@@ -113,69 +144,65 @@ def increasing_forest_to_perm(f: Forest) -> Permutation:
 
 
 def perm_to_decreasing_forest(p: Permutation) -> Forest:
-    """Decreasing forest: build the increasing forest, then complement
-    labels within the ground set."""
-    return complement_forest(perm_to_increasing_forest(p))
+    """Decreasing forest: the increasing forest with labels complemented
+    within the ground set."""
+    return Forest(_decreasing_parents(p.word))
 
 
 def decreasing_forest_to_perm(f: Forest) -> Permutation:
     if not is_decreasing(f):
         raise NotIncreasing(f"forest has a non-decreasing edge: {f.parent}")
-    return increasing_forest_to_perm(complement_forest(f))
+    return Permutation(_decreasing_word(f, f.roots))
 
 
 # ---------------------------------------------------------------------------
 # the unimodal decomposition: a skeleton of top-down maxima and their groups
 
 
-def _join(top: Forest, groups: Mapping[int, Mapping[int, int]]) -> Forest:
-    """The forest with skeleton ``top`` and, below each skeleton vertex
-    ``m``, the parent map ``groups[m]``, whose roots have parent 0 there.
+def _join(top: dict[int, int], groups: Iterable[Mapping[int, int]]) -> Forest:
+    """The forest with skeleton parent map ``top`` (updated in place) and
+    the parent maps ``groups``, whose roots hang from skeleton vertices.
     Inverse of :func:`_split`."""
-    parent = dict(top.parent)
-    for m, group in groups.items():
-        for v, p in group.items():
-            parent[v] = p or m
-    return Forest(parent)
+    for group in groups:
+        top.update(group)
+    return Forest(top)
 
 
-def _hanging_groups(f: Forest, tops: AbstractSet[int]) -> dict[int, dict[int, int]]:
-    """For each vertex of ``tops`` (top-down maxima, say), the parent map
-    of the other vertices whose nearest ``tops`` ancestor it is; every
-    root must be in ``tops``."""
-    groups: dict[int, dict[int, int]] = {m: {} for m in tops}
-    for v in f.labels:
-        if v in tops:
-            continue
-        p = f.parent[v]
-        m = p
-        while m not in tops:
-            m = f.parent[m]
-        groups[m][v] = p if p not in tops else 0
-    return groups
-
-
-def _split(f: Forest) -> tuple[Forest, dict[int, dict[int, int]]]:
-    """The skeleton of a unimodal forest (the increasing subforest on its
-    top-down maxima) and the group hung below each maximum."""
-    top = largest_increasing_subforest(f)
-    return top, _hanging_groups(f, top.parent.keys())
+def _split(f: Forest) -> list[tuple[int, ...]]:
+    """The cycles of a unimodal forest, read off its child lists: one per
+    top-down maximum ``m``, in the clockwise order of the skeleton (the
+    increasing subforest on the maxima), each ``m`` followed by the word
+    :func:`_decreasing_word` reads off the group hung below it.  In a
+    unimodal forest the maxima form a subforest, a child of a maximum is
+    a maximum exactly when it is larger, and the smaller children root
+    the group, so one DFS through the maxima finds every cycle."""
+    cycles: list[tuple[int, ...]] = []
+    stack = list(f.roots)  # ascending; popping yields largest first
+    while stack:
+        m = stack.pop()
+        kids = f.children(m)
+        cut = bisect_right(kids, m)
+        cycles.append((m, *_decreasing_word(f, kids[:cut])))
+        stack.extend(kids[cut:])
+    return cycles
 
 
 def _cycle_group(cycle: Sequence[int]) -> dict[int, int]:
     """The decreasing forest of a cycle's entries after its maximum (the
-    first entry, by canonical rotation), as a group to hang below it."""
-    if len(cycle) == 1:
-        return {}
-    return perm_to_decreasing_forest(Permutation(cycle[1:])).parent
+    first entry, by canonical rotation), as a group whose roots hang from
+    that maximum."""
+    return _decreasing_parents(cycle[1:], cycle[0])
 
 
-def _group_cycle(m: int, group: Mapping[int, int]) -> tuple[int, ...]:
-    """Inverse of :func:`_cycle_group`: the cycle through ``m`` and the
-    vertices of ``group``."""
-    if not group:
-        return (m,)
-    return (m,) + decreasing_forest_to_perm(Forest(group)).word
+def _has_valley(f: Forest) -> bool:
+    """True iff some vertex is smaller than its parent and than one of its
+    children, which is exactly when a path contains 213 or 312."""
+    for v, p in f.parent.items():
+        if p > v:
+            kids = f.children(v)  # ascending
+            if kids and kids[-1] > v:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +218,37 @@ def cycles_to_unimodal_forest(cd: CycleDecomposition) -> Forest:
     """
     if cd.blocks is not None:
         raise ValueError("expected an ordered (unpartitioned) decomposition")
-    top = perm_to_increasing_forest(Permutation([c[0] for c in cd.cycles]))
-    return _join(top, {c[0]: _cycle_group(c) for c in cd.cycles})
+    top = _rightmost_earlier_smaller([c[0] for c in cd.cycles])
+    return _join(top, map(_cycle_group, cd.cycles))
 
 
 def unimodal_forest_to_cycles(f: Forest) -> CycleDecomposition:
     """Inverse of :func:`cycles_to_unimodal_forest`."""
-    if not avoids(f, _UNIMODAL):
+    if _has_valley(f):
         raise NotUnimodal("forest contains 213 or 312 along a path")
-    top, groups = _split(f)
-    maxima = increasing_forest_to_perm(top).word
-    return CycleDecomposition([_group_cycle(m, groups[m]) for m in maxima])
+    return CycleDecomposition(_split(f))
 
 
 # ---------------------------------------------------------------------------
 # set partitions <-> increasing forests of height <= 2
 
 
+def _shallow_parents(blocks: Iterable[Sequence[int]]) -> dict[int, int]:
+    """Each sorted block's minimum is a root with the rest as children."""
+    parent: dict[int, int] = {}
+    for block in blocks:
+        r = block[0]
+        parent[r] = 0
+        for v in block[1:]:
+            parent[v] = r
+    return parent
+
+
 def set_partition_to_shallow_forest(sp: SetPartition) -> Forest:
     """Each block's minimum becomes a root with the rest of the block as
     its children; the image is exactly the increasing forests of height
     at most two, one tree per block."""
-    parent: dict[int, int] = {}
-    for block in sp.blocks:
-        r = block[0]  # blocks are stored sorted
-        parent[r] = 0
-        for v in block[1:]:
-            parent[v] = r
-    return Forest(parent)
+    return Forest(_shallow_parents(sp.blocks))  # blocks are stored sorted
 
 
 def shallow_forest_to_set_partition(f: Forest) -> SetPartition:
@@ -239,19 +269,21 @@ def partitioned_cycles_to_forest(cd: CycleDecomposition) -> Forest:
     if cd.blocks is None:
         raise ValueError("expected a partitioned decomposition")
     maxima_blocks = [[cd.cycles[i][0] for i in b] for b in cd.blocks]
-    top = set_partition_to_shallow_forest(SetPartition(maxima_blocks))
-    return _join(top, {c[0]: _cycle_group(c) for c in cd.cycles})
+    top = _shallow_parents(SetPartition(maxima_blocks).blocks)
+    return _join(top, map(_cycle_group, cd.cycles))
 
 
 def forest_to_partitioned_cycles(f: Forest) -> CycleDecomposition:
     """Derived inverse of :func:`partitioned_cycles_to_forest`."""
     if not avoids(f, _XI_CLASS):
         raise NotInClass("forest contains 213, 312 or 123 along a path")
-    top, groups = _split(f)
-    maxima = top.labels  # ascending
-    index_of_max = {m: i for i, m in enumerate(maxima)}
-    blocks = [[index_of_max[m] for m in b] for b in shallow_forest_to_set_partition(top).blocks]
-    return CycleDecomposition([_group_cycle(m, groups[m]) for m in maxima], blocks)
+    cycles = sorted(_split(f))  # by maximum
+    index_of_max = {c[0]: i for i, c in enumerate(cycles)}
+    # The skeleton has height <= 2: each root with its larger children.
+    blocks = [
+        [index_of_max[v] for v in (r, *f.children(r)) if v >= r] for r in f.roots
+    ]
+    return CycleDecomposition(cycles, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +295,16 @@ def ordered_partition_to_forest(osp: OrderedSetPartition) -> Forest:
     arrange into an increasing forest; the other elements of each block
     become children of their block's maximum."""
     maxima = [b[-1] for b in osp.blocks]  # blocks are stored sorted
-    top = perm_to_increasing_forest(Permutation(maxima))
-    return _join(top, {b[-1]: dict.fromkeys(b[:-1], 0) for b in osp.blocks})
+    top = _rightmost_earlier_smaller(maxima)
+    return _join(top, (dict.fromkeys(b[:-1], b[-1]) for b in osp.blocks))
 
 
 def forest_to_ordered_partition(f: Forest) -> OrderedSetPartition:
-    """Derived inverse of :func:`ordered_partition_to_forest`."""
+    """Derived inverse of :func:`ordered_partition_to_forest`: each block
+    is a maximum with its group."""
     if not avoids(f, _GAMMA_CLASS):
         raise NotInClass("forest contains 213, 312 or 321 along a path")
-    top, groups = _split(f)
-    maxima = increasing_forest_to_perm(top).word
-    return OrderedSetPartition([(m, *groups[m]) for m in maxima])
+    return OrderedSetPartition(_split(f))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +447,22 @@ def ordered_lists_to_forest(lp: ListPartition) -> Forest:
     inc = perm_to_increasing_forest(Permutation(roots_in_order))
     parent.update(inc.parent)
     return Forest(parent)
+
+
+def _hanging_groups(f: Forest, tops: AbstractSet[int]) -> dict[int, dict[int, int]]:
+    """For each vertex of ``tops``, the parent map of the other vertices
+    whose nearest ``tops`` ancestor it is, with 0 for a parent in ``tops``;
+    every root must be in ``tops``."""
+    groups: dict[int, dict[int, int]] = {m: {} for m in tops}
+    for v in f.labels:
+        if v in tops:
+            continue
+        p = f.parent[v]
+        m = p
+        while m not in tops:
+            m = f.parent[m]
+        groups[m][v] = p if p not in tops else 0
+    return groups
 
 
 def forest_to_ordered_lists(f: Forest) -> ListPartition:

@@ -27,10 +27,10 @@ each forest by its trees or top-down maxima.
 
 The parent-vector tally (``_tally``) enumerates every forest instead; no
 command uses it, and the tests keep it as the independent oracle of the
-recursion.  The avoider stream ``gen_avoiders`` walks the same parent
-vectors with memoized path masks and builds forests (and, for the
-ordered family, child orders) only for the vectors that avoid every
-pattern.
+recursion.  The avoider stream ``gen_avoiders`` generates parent
+vectors in the same order but cuts each branch at the first partial root
+path that hits a pattern, so it builds forests (and, for the ordered
+family, child orders) only for the vectors that avoid every pattern.
 """
 from __future__ import annotations
 
@@ -296,23 +296,70 @@ STATISTICS = ("tdm", "trees")
 
 def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iterator[Forest]:
     """The forests of ``gen_forests(n, family)`` that avoid every pattern,
-    in the same order.  Avoidance is decided on each parent vector, with
-    one memoized atom mask per leaf path, and only avoiders become forests
-    (for the ordered family, only avoiders get their child orders)."""
+    in the same order.
+
+    Parent vectors are generated as ``iter_parent_vectors`` does, and a
+    generation subtree is cut at the first chain that hits an atom.  When
+    vertex ``i`` takes a parent, the labels from each leaf hanging below
+    ``i``, up through ``i`` to the root or to the first ancestor that has
+    no parent yet, form a factor of every later root path through that
+    leaf, so a hit (classical or consecutive) rules out every completion.
+    Each root path is checked whole when its largest label takes a
+    parent, so the vectors that survive are exactly the avoiders.  Chain
+    masks are memoized until the stream ends, and only avoiders become
+    forests (for the ordered family, only avoiders get child orders)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     atoms, _ = _compile_sets([list(patterns)])
+    binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
+    parents = [0] * (n + 1)
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # among vertices with a parent
     cache: dict[tuple[int, ...], int] = {}
-    for vec in iter_parent_vectors(n, binary=family is FamilyTag.UNORDERED_BINARY):
-        for path in _leaf_paths_of_vector(n, vec):
-            mask = cache.get(path)
-            if mask is None:
-                mask = cache[path] = _path_mask(path, atoms)
-            if mask:
-                break
-        else:
-            yield from _forests_of_vector(n, vec, ordered)
+
+    def rec(i: int) -> Iterator[Forest]:
+        if i > n:
+            yield from _forests_of_vector(n, parents[1:], ordered)
+            return
+        below: list[tuple[int, ...]] = []  # from i down to each leaf under it
+        stack = [(i,)]
+        while stack:
+            chain = stack.pop()
+            kids = children[chain[-1]]
+            if kids:
+                stack += [chain + (c,) for c in kids]
+            else:
+                below.append(chain)
+        for j in range(n + 1):
+            if j == i or (binary and len(children[j]) >= 2):
+                continue
+            above = []
+            w = j
+            while 0 < w < i:
+                above.append(w)
+                w = parents[w]
+            if w == i:  # assigning i -> j would close a cycle
+                continue
+            if w:  # the first ancestor that has no parent yet
+                above.append(w)
+            top = tuple(reversed(above))
+            for chain in below:
+                chain = top + chain
+                mask = cache.get(chain)
+                if mask is None:
+                    mask = cache[chain] = _path_mask(chain, atoms)
+                if mask:
+                    break
+            else:
+                parents[i] = j
+                children[j].append(i)
+                yield from rec(i + 1)
+                children[j].pop()
+
+    try:
+        yield from rec(1)
+    finally:
+        cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +874,18 @@ TABLE_PATTERNS = ("321", "231", "132")
 def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None):
     """Computed-vs-expected rows for one reference table.
 
-    Yields dicts with keys figure, family, n, pattern, mode, computed,
-    expected, source.
+    Returns a lazy stream of dicts with keys figure, family, n, pattern,
+    mode, computed, expected, source.  An unknown figure or a ``max_n``
+    below 1 raises here, before the stream is first advanced.
     """
     if figure not in REFERENCE_TABLES:
         raise KeyError(f"unknown table {figure!r}; valid: {sorted(REFERENCE_TABLES)}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    return _table_rows(figure, max_n, jobs, budget)
+
+
+def _table_rows(figure: str, max_n: int, jobs: int, budget: int | None):
     ref = REFERENCE_TABLES[figure]
     family: FamilyTag = ref["family"]
     pattern_sets = []
@@ -841,7 +895,7 @@ def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None
             word = pat if mode == "classical" else "!" + pat
             pattern_sets.append([pattern(word)])
             meta.append((pat, mode))
-    swept = count_sweep({family: max(max_n, 0)}, pattern_sets, jobs=jobs, budget=budget)
+    swept = count_sweep({family: max_n}, pattern_sets, jobs=jobs, budget=budget)
     for n in range(1, max_n + 1):
         for (pat, mode), by_n in zip(meta, swept[family]):
             value = by_n[n].get(0, 0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .forests import FamilyTag, Forest, from_parents
+from .forests import FamilyTag, Forest
 from .perms import CycleDecomposition
 
 
@@ -173,8 +173,9 @@ def iter_parent_vectors(n: int, binary: bool = False) -> Iterator[tuple[int, ...
 
 def _forests_of_vector(n: int, vec: Sequence[int], ordered: bool) -> Iterator[Forest]:
     """The forest of one parent vector, or for the ordered family one
-    forest per combination of child orders."""
-    base = from_parents(n, vec)
+    forest per combination of child orders.  ``Forest`` itself rejects a
+    vector that is not a forest."""
+    base = Forest(dict(zip(range(1, n + 1), vec)))
     if not ordered:
         yield base
         return

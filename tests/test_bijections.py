@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 from math import factorial
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given
@@ -54,6 +56,7 @@ from forest_patterns.bijections import (
     unimodal_forest_to_cycles,
 )
 from forest_patterns.forests import descent_kind, DescentKind
+from forest_patterns.textio import object_to_text
 
 
 def forests_avoiding(n, words):
@@ -230,6 +233,80 @@ class TestOrderedPartitionMap:
             assert forest_to_ordered_partition(f) == osp
             image.add(f)
         assert image == forests_avoiding(n, [213, 312, 321])
+
+
+class UnimodalPin(NamedTuple):
+    words: tuple[str, ...]  # the class the inverse is defined on
+    inverse: Callable
+    forward: Callable
+    domain: Callable  # generator of the forward map's domain on [n]
+    inverse_images: tuple[int, str]  # line count and SHA-256 on [6]
+    forward_images: tuple[int, str]
+    error: tuple[type, str]  # raised by the inverse outside the class
+
+
+# The unimodal maps' outputs on [6], pinned byte for byte: the text forms,
+# one per line, of the inverse images of the class members in parent-vector
+# order and of the forward images of the domain in generation order.
+UNIMODAL_PINS = {
+    "theta": UnimodalPin(
+        ("213", "312"),
+        unimodal_forest_to_cycles,
+        cycles_to_unimodal_forest,
+        gen_ordered_cycle_decomps,
+        (6578, "893f9daa20923c0013368d2b6694ccd548c228f02050f2ce1a824f4851e28c96"),
+        (6578, "6e3978ba207f0891142d40bfa063c29202636737e5469c5b4353cdcb339bfa36"),
+        (NotUnimodal, "forest contains 213 or 312 along a path"),
+    ),
+    "xi": UnimodalPin(
+        ("213", "312", "123"),
+        forest_to_partitioned_cycles,
+        partitioned_cycles_to_forest,
+        gen_partitioned_cycle_decomps,
+        (4051, "cccc6f762a2ec35586cdc59ac50a38b78fcb23f6816fa6e34e9095f75a4505fc"),
+        (4051, "49ef9efcd64433316aa5e2c94ca3842d36fb4e99377a800e4869033ad62c18f6"),
+        (NotInClass, "forest contains 213, 312 or 123 along a path"),
+    ),
+    "gamma": UnimodalPin(
+        ("213", "312", "321"),
+        forest_to_ordered_partition,
+        ordered_partition_to_forest,
+        gen_ordered_set_partitions,
+        (4683, "a64cd35858df32a4f19c4701ab5991a1e7c7212d7bc7920efb467e9582b96bd3"),
+        (4683, "09e559218410155fba50523457c89932fd9b13640c9868f960dd7b61023eb765"),
+        (NotInClass, "forest contains 213, 312 or 321 along a path"),
+    ),
+}
+
+
+def _lines_digest(objects):
+    lines = [object_to_text(x) for x in objects]
+    return len(lines), hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(UNIMODAL_PINS))
+class TestUnimodalMapsPinned:
+    def test_inverse_images_on_6(self, name):
+        pin = UNIMODAL_PINS[name]
+        pats = [pattern(w) for w in pin.words]
+        members = [f for f in gen_forests(6, FamilyTag.UNORDERED) if avoids(f, pats)]
+        assert _lines_digest(map(pin.inverse, members)) == pin.inverse_images
+
+    def test_forward_images_on_6(self, name):
+        pin = UNIMODAL_PINS[name]
+        assert _lines_digest(map(pin.forward, pin.domain(6))) == pin.forward_images
+
+    def test_inverse_rejects_every_forest_outside_the_class(self, name):
+        pin = UNIMODAL_PINS[name]
+        pats = [pattern(w) for w in pin.words]
+        error, message = pin.error
+        for n in range(6):
+            for f in gen_forests(n, FamilyTag.UNORDERED):
+                if avoids(f, pats):
+                    continue
+                with pytest.raises(ValueError) as caught:
+                    pin.inverse(f)
+                assert type(caught.value) is error and str(caught.value) == message, f
 
 
 class TestListPartitionMap:

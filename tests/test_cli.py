@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,33 @@ def test_verify_all_output_bytes_are_pinned(fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_5_SHA256[fmt]
 
 
+# The benchmark oracle pins the stdout of 19 `enumerate --avoid` queries:
+# "family/n/format/token" keys, plus "unimodal" for the unordered n = 6
+# stream of 213,312 that the theta round trips read.
+ENUMERATE_PINS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json").read_text()
+)["enumerate"]
+
+
+def _enumerate_argv(key):
+    if key == "unimodal":
+        return ["enumerate", "--family", "unordered", "--n", "6", "--avoid", "213,312"]
+    family, n, fmt, token = key.split("/")
+    return ["enumerate", "--family", family, "--n", n, "--avoid", token, "--format", fmt]
+
+
+def test_oracle_pins_every_enumerate_query():
+    assert len(ENUMERATE_PINS) == 19
+
+
+@pytest.mark.parametrize("key", sorted(ENUMERATE_PINS))
+def test_enumerate_avoid_output_bytes_are_pinned(key):
+    code, out = invoke(*_enumerate_argv(key))
+    assert code == 0
+    assert out.count("\n") == ENUMERATE_PINS[key]["lines"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_PINS[key]["sha256"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -264,6 +292,8 @@ def test_verify_all_output_bytes_are_pinned(fmt):
         ["count", "--family", "unordered", "--n", "3", "--avoid", "321", "--jobs", "-3"],
         ["verify", "--theorem", "all", "--max-n", "0", "--jobs", "1"],
         ["verify", "--theorem", "unimodal", "--max-n", "-1", "--jobs", "1"],
+        ["table", "--figure", "7", "--max-n", "0"],
+        ["table", "--figure", "12", "--max-n", "-1"],
         ["enumerate", "--family", "set-partitions", "--n", "-1"],
         ["enumerate", "--family", "compositions", "--n", "-2"],
         ["enumerate", "--family", "unordered", "--n", "3", "--limit", "-1"],

@@ -24,7 +24,7 @@ from forest_patterns import (
     sweep_counts,
     table_rows,
 )
-from forest_patterns import counting
+from forest_patterns import counting, generate
 from forest_patterns.counting import FORMULA_CLASSES, STATISTICS, budget_for
 from forest_patterns.forests import avoids, avoids_per_vertex, top_down_maxima
 from forest_patterns.perms import word_contains_classical
@@ -387,6 +387,10 @@ class TestClassicalCompression:
         assert [brute_count(n, family, pats, budget=7) for n, pats in zip(sizes, sets)] == compressed
 
 
+# Pattern sets whose unordered and binary streams are also checked at n = 6.
+STREAM_SETS_AT_SIX = [("213", "312"), ("!231",), ("123", "!321"), ("1",)]
+
+
 class TestAvoiderStream:
     @pytest.mark.parametrize("family", list(FamilyTag))
     @pytest.mark.parametrize(
@@ -395,9 +399,29 @@ class TestAvoiderStream:
     )
     def test_equals_filtered_forest_stream(self, family, words):
         pats = [pattern(w) for w in words]
-        for n in range(5 if family is FamilyTag.ORDERED else 6):
+        if family is FamilyTag.ORDERED:
+            top = 5
+        else:
+            top = 7 if words in STREAM_SETS_AT_SIX else 6
+        for n in range(top):
             expected = [f for f in gen_forests(n, family) if avoids_per_vertex(f, pats)]
             assert list(gen_avoiders(n, family, pats)) == expected, n
+
+    def test_never_lists_every_parent_vector(self, monkeypatch):
+        pats = [pattern(w) for w in ("213", "!312")]
+        expected = {
+            family: [f for f in gen_forests(4, family) if avoids_per_vertex(f, pats)]
+            for family in FamilyTag
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the avoider stream walked every parent vector")
+
+        monkeypatch.setattr(counting, "iter_parent_vectors", refuse)
+        monkeypatch.setattr(counting, "_leaf_paths_of_vector", refuse)
+        monkeypatch.setattr(generate, "iter_parent_vectors", refuse)
+        for family in FamilyTag:
+            assert list(gen_avoiders(4, family, pats)) == expected[family]
 
     def test_rejects_negative_n_and_empty_pattern_set(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -454,3 +478,12 @@ class TestTableRows:
     def test_unknown_figure(self):
         with pytest.raises(KeyError):
             list(table_rows("99", 3))
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_fails_before_the_stream_is_read(self, max_n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted before max_n was checked")
+
+        monkeypatch.setattr(counting, "count_sweep", refuse)
+        with pytest.raises(ValueError, match=f"^max_n must be at least 1, got {max_n}$"):
+            table_rows("7", max_n)
