@@ -278,8 +278,6 @@ def _compile_sets(
     index: dict[AtomSpec, int] = {}
     set_masks = []
     for ps in pattern_sets:
-        if not ps:
-            raise ValueError("pattern sets must be nonempty")
         mask = 0
         for p in ps:
             spec = _atom_spec(p)
@@ -310,7 +308,10 @@ def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iter
     forests (for the ordered family, only avoiders get child orders)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    atoms, _ = _compile_sets([list(patterns)])
+    patterns = list(patterns)
+    if not patterns:
+        raise ValueError("pattern sets must be nonempty")
+    atoms, _ = _compile_sets([patterns])
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
     parents = [0] * (n + 1)
@@ -546,13 +547,13 @@ def _gap_count(
     base = max_n + 1 if tdm else 1
     step = base if binary or ordered or statistic == "trees" else 0
     # When every atom is consecutive, only the last k - 1 path values can
-    # take part in a later occurrence; when every atom is classical, the
-    # values that no later occurrence needs are dropped (``_needless``).
-    # tdm needs the whole path.
+    # take part in a later occurrence (none when there is no atom); when
+    # every atom is classical, the values that no later occurrence needs
+    # are dropped (``_needless``).  tdm needs the whole path.
     keep = None
     compress = False
     if not tdm and all(consecutive for _, consecutive in atoms):
-        keep = max(len(word) for word, _ in atoms) - 1
+        keep = max((len(word) for word, _ in atoms), default=1) - 1
     elif not tdm and not any(consecutive for _, consecutive in atoms):
         compress = True
         words = [word for word, _ in atoms]
@@ -675,7 +676,8 @@ def count_sweep(
 ) -> dict[FamilyTag, list[list[dict[int, int]]]]:
     """Avoider weight of each pattern set by statistic value (0 when none
     is asked for), in each family of ``caps`` for every n from 0 to its
-    cap: ``out[family][i][n]`` for the i-th set.
+    cap: ``out[family][i][n]`` for the i-th set.  The empty set is avoided
+    by every forest.
 
     The statistic, every n, jobs and every budget are checked before any
     counting.  Sets run one at a time, and sets with the same patterns run

@@ -1,14 +1,21 @@
 """Named machine checks pitting closed forms against the counting engine.
 
 Each check yields one row per (n, subject) pair so the CLI can print a
-PASS/FAIL table.  All comparisons are exact.  A check makes one
-``count_sweep`` call per statistic, which answers every n it needs.
+PASS/FAIL table.  All comparisons are exact.  A check declares what it
+counts: the pattern sets it reads under each statistic, and the largest
+n per family.  ``run_check`` plans the counts of every check it runs
+before any counting: it takes their union, so each pattern set is counted
+once per statistic in every family it is needed in, checks every budget,
+and makes one ``count_sweep`` per statistic and family caps.  The checks
+then read their rows from the shared counts, which are dropped when
+``run_check`` returns.  ``totals`` counts the empty pattern set, that is
+every forest, through the same recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .counting import (
     FORMULA_CLASSES,
@@ -20,7 +27,6 @@ from .counting import (
     stirling1,
 )
 from .forests import FamilyTag
-from .generate import count_forests
 from .perms import Pattern, PatternMode, Permutation, complement, pattern
 
 
@@ -37,37 +43,56 @@ class CheckRow:
         return self.expected == self.computed
 
 
+# ``count(patterns, statistic=None, family=UNORDERED)``: the avoider weight
+# of a planned set by statistic value (0 when none is asked for), for
+# every n up to the family's cap.
+Count = Callable[..., list[dict[int, int]]]
+
+
+def _unordered_caps(max_n: int) -> dict[FamilyTag, int]:
+    return {FamilyTag.UNORDERED: max_n}
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named check: its rows, read from the planned counts; the
+    (statistic, pattern set) pairs those rows read; and the largest n per
+    family it reads them at, for a given ``max_n``."""
+
+    rows: Callable[[int, Count], Iterable[CheckRow]]
+    sets: tuple[tuple[str | None, Sequence[Pattern]], ...]
+    caps: Callable[[int], dict[FamilyTag, int]] = _unordered_caps
+
+
 def _patterns(words: tuple[int, ...], mode=PatternMode.CLASSICAL) -> list[Pattern]:
     return [pattern(w, mode) for w in words]
 
 
-def _unordered(
-    max_n: int, sets: list[list[Pattern]], jobs: int, statistic: str | None = None
-) -> list[list[dict[int, int]]]:
-    """Unordered avoider weights of each set for n = 0..max_n, by statistic."""
-    return count_sweep({FamilyTag.UNORDERED: max_n}, sets, statistic, jobs=jobs)[
-        FamilyTag.UNORDERED
-    ]
+def _formula_check(name: str) -> Check:
+    classes = FORMULA_CLASSES[name]
+    sets = [_patterns(ws) for ws in classes]
 
-
-def _formula_check(name: str):
-    def run(max_n: int, jobs: int) -> Iterator[CheckRow]:
-        classes = FORMULA_CLASSES[name]
-        swept = _unordered(max_n, [_patterns(ws) for ws in classes], jobs)
+    def rows(max_n: int, count: Count) -> Iterator[CheckRow]:
+        swept = [count(ps) for ps in sets]
         for n in range(1, max_n + 1):
             expected = formula(name, n)
             for ws, by_n in zip(classes, swept):
                 subject = "{" + ",".join(map(str, ws)) + "}"
                 yield CheckRow(name, n, subject, expected, by_n[n].get(0, 0))
 
-    return run
+    return Check(rows, tuple((None, ps) for ps in sets))
 
 
-def _check_refined_unimodal(max_n: int, jobs: int) -> Iterator[CheckRow]:
+_UNIMODAL = _patterns((213, 312))
+_UNI132 = _patterns((312, 213, 132))
+_UNI231 = _patterns((213, 312, 231))
+
+
+def _check_refined_unimodal(max_n: int, count: Count) -> Iterator[CheckRow]:
     # Unimodal forests with exactly k top-down maxima number k!c(n,k); with
     # exactly m trees, sum over k >= m of c(k,m)c(n,k).
-    [by_tdm] = _unordered(max_n, [_patterns((213, 312))], jobs, "tdm")
-    [by_trees] = _unordered(max_n, [_patterns((213, 312))], jobs, "trees")
+    by_tdm = count(_UNIMODAL, "tdm")
+    by_trees = count(_UNIMODAL, "trees")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             yield CheckRow(
@@ -79,34 +104,40 @@ def _check_refined_unimodal(max_n: int, jobs: int) -> Iterator[CheckRow]:
             yield CheckRow("refined_unimodal", n, f"trees={m}", expected, by_trees[n].get(m, 0))
 
 
-def _check_refined_uni132(max_n: int, jobs: int) -> Iterator[CheckRow]:
+def _check_refined_uni132(max_n: int, count: Count) -> Iterator[CheckRow]:
     # Forests avoiding {312, 213, 132} with exactly k trees number
     # (n!/k!) C(n-1, k-1).
-    [by_trees] = _unordered(max_n, [_patterns((312, 213, 132))], jobs, "trees")
+    by_trees = count(_UNI132, "trees")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             expected = factorial(n) // factorial(k) * binom(n - 1, k - 1)
             yield CheckRow("refined_uni132", n, f"trees={k}", expected, by_trees[n].get(k, 0))
 
 
-def _check_recurrence_trees(max_n: int, jobs: int) -> Iterator[CheckRow]:
+def _check_recurrence_trees(max_n: int, count: Count) -> Iterator[CheckRow]:
     # Single trees avoiding {213, 312, 231} satisfy T(n) = sum (r-1)! F(n-r).
-    [by_trees] = _unordered(max_n, [_patterns((213, 312, 231))], jobs, "trees")
+    by_trees = count(_UNI231, "trees")
     for n in range(1, max_n + 1):
         yield CheckRow(
             "uni231_trees", n, "trees=1", formula("uni231_trees", n), by_trees[n].get(1, 0)
         )
 
 
-def _check_wilf(max_n: int, jobs: int) -> Iterator[CheckRow]:
+_WILF = ([pattern(321)], [pattern(312)])
+
+
+def _check_wilf(max_n: int, count: Count) -> Iterator[CheckRow]:
     # 321 and 312 are forest-Wilf-equivalent (and so are their complements).
-    a, b = _unordered(max_n, [[pattern(321)], [pattern(312)]], jobs)
+    a, b = (count(ps) for ps in _WILF)
     for n in range(1, max_n + 1):
         yield CheckRow("wilf_321_312", n, "f(321)=f(312)", a[n].get(0, 0), b[n].get(0, 0))
 
 
-def _check_increasing(max_n: int, jobs: int) -> Iterator[CheckRow]:
-    inc, dec = _unordered(max_n, [[pattern(21)], [pattern(12)]], jobs)
+_INCREASING = ([pattern(21)], [pattern(12)])
+
+
+def _check_increasing(max_n: int, count: Count) -> Iterator[CheckRow]:
+    inc, dec = (count(ps) for ps in _INCREASING)
     for n in range(1, max_n + 1):
         yield CheckRow("increasing", n, "f(21)=n!", factorial(n), inc[n].get(0, 0))
         yield CheckRow("increasing", n, "f(12)=n!", factorial(n), dec[n].get(0, 0))
@@ -129,6 +160,20 @@ _DUALITY_SETS: list[tuple[int, ...]] = [
     *FORMULA_CLASSES["onedescent"],
 ]
 
+# Each duality row compares a set with its complement in one mode:
+# (subject, the set, its complement).
+_DUALITY_PAIRS = [
+    (
+        f"{'!' if mode is PatternMode.CONSECUTIVE else ''}"
+        f"{{{','.join(map(str, words))}}}~{{{','.join(map(str, comp))}}}",
+        _patterns(words, mode),
+        _patterns(comp, mode),
+    )
+    for words in _DUALITY_SETS
+    for comp in [_complement_words(words)]
+    for mode in (PatternMode.CLASSICAL, PatternMode.CONSECUTIVE)
+]
+
 
 def _duality_caps(max_n: int) -> dict[FamilyTag, int]:
     return {
@@ -136,76 +181,97 @@ def _duality_caps(max_n: int) -> dict[FamilyTag, int]:
     }
 
 
-def _check_duality(max_n: int, jobs: int) -> Iterator[CheckRow]:
+def _check_duality(max_n: int, count: Count) -> Iterator[CheckRow]:
     # Complementing every pattern in a set preserves the avoider count,
     # in every family and in both modes.
-    sets = []
-    meta = []
-    for words in _DUALITY_SETS:
-        comp = _complement_words(words)
-        for mode in (PatternMode.CLASSICAL, PatternMode.CONSECUTIVE):
-            sets.append(_patterns(words, mode))
-            sets.append(_patterns(comp, mode))
-            meta.append((words, comp, mode))
-    caps = _duality_caps(max_n)
-    swept = count_sweep(caps, sets, jobs=jobs)
-    for family, cap in caps.items():
+    for family, cap in _duality_caps(max_n).items():
+        swept = [
+            (subject, count(ps, family=family), count(comp, family=family))
+            for subject, ps, comp in _DUALITY_PAIRS
+        ]
         for n in range(1, cap + 1):
-            for i, (words, comp, mode) in enumerate(meta):
-                a = swept[family][2 * i][n].get(0, 0)
-                b = swept[family][2 * i + 1][n].get(0, 0)
-                subject = (
-                    f"{family.value}:{'!' if mode is PatternMode.CONSECUTIVE else ''}"
-                    f"{{{','.join(map(str, words))}}}~{{{','.join(map(str, comp))}}}"
+            for subject, a, b in swept:
+                yield CheckRow(
+                    "duality", n, f"{family.value}:{subject}", a[n].get(0, 0), b[n].get(0, 0)
                 )
-                yield CheckRow("duality", n, subject, a, b)
 
 
-def _check_totals(max_n: int, jobs: int) -> Iterator[CheckRow]:
-    for n in range(1, min(max_n, 8) + 1):
+def _totals_caps(max_n: int) -> dict[FamilyTag, int]:
+    return {FamilyTag.UNORDERED: min(max_n, 8), FamilyTag.ORDERED: min(max_n, 6)}
+
+
+def _check_totals(max_n: int, count: Count) -> Iterator[CheckRow]:
+    # The empty pattern set: every forest.
+    caps = _totals_caps(max_n)
+    unordered = count([], family=FamilyTag.UNORDERED)
+    for n in range(1, caps[FamilyTag.UNORDERED] + 1):
         yield CheckRow(
-            "totals", n, "unordered=(n+1)^(n-1)",
-            (n + 1) ** (n - 1), count_forests(n, FamilyTag.UNORDERED),
+            "totals", n, "unordered=(n+1)^(n-1)", (n + 1) ** (n - 1), unordered[n].get(0, 0)
         )
-    for n in range(1, min(max_n, 6) + 1):
+    ordered = count([], family=FamilyTag.ORDERED)
+    for n in range(1, caps[FamilyTag.ORDERED] + 1):
         yield CheckRow(
-            "totals", n, "ordered=n!*catalan(n)",
-            factorial(n) * catalan(n), count_forests(n, FamilyTag.ORDERED),
+            "totals", n, "ordered=n!*catalan(n)", factorial(n) * catalan(n), ordered[n].get(0, 0)
         )
 
 
-CHECKS = {
+CHECKS: dict[str, Check] = {
     **{name: _formula_check(name) for name in FORMULA_CLASSES},
-    "uni231_trees": _check_recurrence_trees,
-    "refined_unimodal": _check_refined_unimodal,
-    "refined_uni132": _check_refined_uni132,
-    "wilf_321_312": _check_wilf,
-    "increasing": _check_increasing,
-    "duality": _check_duality,
-    "totals": _check_totals,
+    "uni231_trees": Check(_check_recurrence_trees, (("trees", _UNI231),)),
+    "refined_unimodal": Check(_check_refined_unimodal, (("tdm", _UNIMODAL), ("trees", _UNIMODAL))),
+    "refined_uni132": Check(_check_refined_uni132, (("trees", _UNI132),)),
+    "wilf_321_312": Check(_check_wilf, tuple((None, ps) for ps in _WILF)),
+    "increasing": Check(_check_increasing, tuple((None, ps) for ps in _INCREASING)),
+    "duality": Check(
+        _check_duality,
+        tuple((None, ps) for _, *pair in _DUALITY_PAIRS for ps in pair),
+        _duality_caps,
+    ),
+    "totals": Check(_check_totals, ((None, []),), _totals_caps),
 }
 
 
-def _reach(name: str, max_n: int) -> dict[FamilyTag, int]:
-    """The largest n each family is counted to by check ``name``."""
-    if name == "duality":
-        return _duality_caps(max_n)
-    return {} if name == "totals" else {FamilyTag.UNORDERED: max_n}
-
-
 def run_check(name: str, max_n: int, jobs: int = 1) -> list[CheckRow]:
+    """The rows of check ``name`` (or of every check, for ``"all"``) for
+    n up to ``max_n``.  ``jobs`` is accepted for compatibility; the rows
+    are the same for every value."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     if name != "all" and name not in CHECKS:
         raise KeyError(
             f"unknown theorem {name!r}; valid: {', '.join(sorted(CHECKS) + ['all'])}"
         )
-    names = list(CHECKS) if name == "all" else [name]
-    # Every budget first, so that no check counts before a later one fails.
-    for key in names:
-        for family, n in _reach(key, max_n).items():
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    checks = list(CHECKS.values()) if name == "all" else [CHECKS[name]]
+    # The plan: the largest n per family of each (statistic, atom set).
+    plan: dict[tuple[str | None, frozenset[Pattern]], dict[FamilyTag, int]] = {}
+    for check in checks:
+        caps = check.caps(max_n)
+        for statistic, patterns in check.sets:
+            want = plan.setdefault((statistic, frozenset(patterns)), {})
+            for family, n in caps.items():
+                want[family] = max(want.get(family, 0), n)
+    # Every budget first, so that no set is counted before a later one fails.
+    for want in plan.values():
+        for family, n in want.items():
             check_budget(n, family)
+    # One sweep per statistic and family caps, so that the families of a
+    # set share its path memos.
+    groups: dict[tuple, list[frozenset[Pattern]]] = {}
+    for (statistic, atoms), want in plan.items():
+        caps_key = tuple((family, want[family]) for family in FamilyTag if family in want)
+        groups.setdefault((statistic, caps_key), []).append(atoms)
+    counted: dict[tuple[str | None, frozenset[Pattern]], dict[FamilyTag, list]] = {}
+    for (statistic, caps_key), sets in groups.items():
+        swept = count_sweep(dict(caps_key), [list(atoms) for atoms in sets], statistic)
+        for i, atoms in enumerate(sets):
+            counted[statistic, atoms] = {family: swept[family][i] for family, _ in caps_key}
+
+    def count(patterns, statistic=None, family=FamilyTag.UNORDERED):
+        return counted[statistic, frozenset(patterns)][family]
+
     rows: list[CheckRow] = []
-    for key in names:
-        rows.extend(CHECKS[key](max_n, jobs))
+    for check in checks:
+        rows.extend(check.rows(max_n, count))
     return rows

@@ -159,10 +159,12 @@ def test_verify_pass_exit_code():
 
 def test_verify_failure_exits_one(monkeypatch):
     from forest_patterns import verify as verify_mod
-    from forest_patterns.verify import CheckRow
+    from forest_patterns.verify import Check, CheckRow
 
     monkeypatch.setitem(
-        verify_mod.CHECKS, "unimodal", lambda max_n, jobs: [CheckRow("unimodal", 1, "x", 1, 2)]
+        verify_mod.CHECKS,
+        "unimodal",
+        Check(lambda max_n, count: [CheckRow("unimodal", 1, "x", 1, 2)], ()),
     )
     code, out = invoke("verify", "--theorem", "unimodal", "--max-n", "1", "--jobs", "1")
     assert code == 1 and out.startswith("FAIL")
@@ -221,6 +223,7 @@ def test_budget_exceeded_is_reported():
     [
         (["--theorem", "duality", "--max-n", "9"], None, "n=9 exceeds the unordered budget 8"),
         (["--theorem", "all", "--max-n", "6"], "binary=5", "n=6 exceeds the binary budget 5"),
+        (["--theorem", "totals", "--max-n", "5"], "unordered=3", "n=5 exceeds the unordered budget 3"),
     ],
 )
 def test_verify_checks_every_budget_before_counting(monkeypatch, capsys, argv, env, message):
@@ -237,6 +240,54 @@ def test_verify_checks_every_budget_before_counting(monkeypatch, capsys, argv, e
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}; set the FOREST_PATTERNS_BUDGET")
     assert "budget argument" not in err
+
+
+def test_verify_counts_each_set_once_and_walks_no_parent_vector(monkeypatch):
+    from forest_patterns import counting, generate
+
+    seen = []
+    gap_count = counting._gap_count
+
+    def spy(max_n, family, atoms, statistic, paths):
+        seen.append((family, statistic, frozenset(atoms)))
+        return gap_count(max_n, family, atoms, statistic, paths)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify walked parent vectors")
+
+    monkeypatch.setattr(counting, "_gap_count", spy)
+    monkeypatch.setattr(counting, "iter_parent_vectors", refuse)
+    monkeypatch.setattr(generate, "iter_parent_vectors", refuse)
+    code, out = invoke("verify", "--theorem", "all", "--max-n", "4")
+    assert code == 0 and out.count("\n") == 374
+    assert len(seen) == len(set(seen))
+    # totals counts every forest as the empty pattern set
+    every = {(family, None, frozenset()) for family in (FamilyTag.UNORDERED, FamilyTag.ORDERED)}
+    assert every <= set(seen)
+
+
+def test_verify_output_is_the_same_for_every_jobs():
+    code, one = invoke("verify", "--theorem", "all", "--max-n", "5", "--jobs", "1")
+    assert code == 0
+    assert invoke("verify", "--theorem", "all", "--max-n", "5", "--jobs", "3") == (0, one)
+
+
+# `verify --theorem totals --max-n 8`: the family sizes up to the default
+# budgets, (n+1)^(n-1) unordered and n!*catalan(n) ordered.
+TOTALS_8 = [
+    ("unordered=(n+1)^(n-1)", [1, 3, 16, 125, 1296, 16807, 262144, 4782969]),
+    ("ordered=n!*catalan(n)", [1, 4, 30, 336, 5040, 95040]),
+]
+
+
+def test_verify_totals_rows_are_pinned():
+    code, out = invoke("verify", "--theorem", "totals", "--max-n", "8")
+    assert code == 0
+    assert out.splitlines() == [
+        f"PASS totals n={n} {subject} expected={size} computed={size}"
+        for subject, sizes in TOTALS_8
+        for n, size in enumerate(sizes, 1)
+    ]
 
 
 # SHA-256 of `verify --theorem all --max-n 5` stdout (475 rows); a change to

@@ -307,6 +307,17 @@ class TestTwoRoutes:
         for family in caps:
             assert swept[family][2] == swept[family][0]
 
+    def test_empty_set_counts_every_forest(self):
+        caps = {FamilyTag.UNORDERED: 6, FamilyTag.UNORDERED_BINARY: 7, FamilyTag.ORDERED: 6}
+        swept = counting.count_sweep(caps, [[]])
+        totals = {
+            family: [by_n.get(0, 0) for by_n in swept[family][0]] for family in caps
+        }
+        for family, cap in caps.items():
+            assert totals[family] == [generate.count_forests(n, family) for n in range(cap + 1)]
+        assert totals[FamilyTag.UNORDERED] == [(n + 1) ** max(n - 1, 0) for n in range(7)]
+        assert totals[FamilyTag.ORDERED] == [factorial(n) * catalan(n) for n in range(7)]
+
     def test_no_count_enumerates_parent_vectors(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a count enumerated parent vectors")
