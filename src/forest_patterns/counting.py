@@ -14,9 +14,11 @@ tree that holds the smallest label gives a recursion over a few hundred
 to a few thousand states per pattern set.  The forest of the state
 ``((), (n,))`` recurses into ``((), (n - c,))``, so one recursion answers
 every n up to the largest asked for; ``count_sweep`` runs one per pattern
-set and family, and the families of a sweep share the set's path memos
-(atom hits, prefix occurrences, needless values), which depend on the
-patterns alone.  Nothing is memoized across calls.
+set and family.  The families of a sweep share the set's path memos
+(grown paths, prefix occurrences, needless values, drop plans), which
+depend on the patterns alone, and every set and family shares the split
+tables (``_GapTables``), which depend on gap counts alone.  Nothing is
+memoized across calls.
 Paths keep only what later occurrences can use: the last k - 1 values
 when every pattern is consecutive, and the values of the undominated
 prefix occurrences (``_needless``) when every pattern is classical.
@@ -38,7 +40,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .forests import FamilyTag, Forest, _leaf_paths
@@ -207,29 +209,37 @@ _ENV_BUDGET = "FOREST_PATTERNS_BUDGET"
 
 def budget_for(family: FamilyTag) -> int:
     """Budget for a family; the environment variable overrides either with
-    a single integer for all families or ``unordered=9,binary=10,ordered=7``."""
+    a single integer for all families or ``unordered=9,binary=10,ordered=7``.
+    A malformed or negative value raises ``ValueError``."""
     raw = os.environ.get(_ENV_BUDGET, "").strip()
     if not raw:
         return DEFAULT_BUDGETS[family]
     try:
         if "=" not in raw:
-            return int(raw)
-        table = {}
-        for item in raw.split(","):
-            key, value = item.split("=", 1)
-            table[FamilyTag(key.strip())] = int(value)
+            table = dict.fromkeys(FamilyTag, int(raw))
+        else:
+            table = {}
+            for item in raw.split(","):
+                key, value = item.split("=", 1)
+                table[FamilyTag(key.strip())] = int(value)
     except ValueError:
         raise ValueError(
             f"{_ENV_BUDGET}={raw!r} is malformed; expected N or "
             "unordered=N,binary=N,ordered=N"
         ) from None
+    for value in table.values():
+        if value < 0:
+            raise ValueError(f"{_ENV_BUDGET}={raw!r} sets a negative budget {value}")
     return table.get(family, DEFAULT_BUDGETS[family])
 
 
 def check_budget(n: int, family: FamilyTag, budget: int | None = None) -> None:
     """Raise :class:`BudgetExceeded` when ``n`` is above ``budget``, or above
-    ``budget_for(family)`` when no budget is given."""
+    ``budget_for(family)`` when no budget is given; a negative budget
+    raises ``ValueError``."""
     if budget is not None:
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         if n > budget:
             raise BudgetExceeded(f"n={n} exceeds the given {family.value} budget {budget}")
         return
@@ -477,36 +487,64 @@ def _needless(caps: tuple[int, ...], occurrences: Occurrences) -> tuple[int, ...
     return tuple(v for v in range(1, len(caps)) if v not in kept)
 
 
-def _drop_values(
-    path: tuple[int, ...], gaps: tuple[int, ...], drop: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``path`` without the values ``drop``, restandardized, and its gaps
-    with the two beside each dropped value merged."""
-    merged = [gaps[0]]
-    for v in range(1, len(path) + 1):
-        if v in drop:
-            merged[-1] += gaps[v]
-        else:
-            merged.append(gaps[v])
-    return tuple(x - sum(d < x for d in drop) for x in path if x not in drop), tuple(merged)
+def _drop_plan(path: tuple[int, ...], drop: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
+    """``path`` without the values ``drop``, restandardized, and the slices
+    of its gaps that merge into one: the two beside each dropped value."""
+    starts = [0] + [v for v in range(1, len(path) + 1) if v not in drop]
+    slices = tuple(zip(starts, starts[1:] + [len(path) + 1]))
+    return tuple(x - sum(d < x for d in drop) for x in path if x not in drop), slices
 
 
-class _PathMemos:
-    """What the recursion learns from a root path alone: whether it hits an
-    atom, the occurrences in it of the atoms' prefixes, and its needless
-    values per capped gaps.  None of it depends on the family, so the
-    families of one sweep share one instance per pattern set."""
+class _Memos:
+    """Dicts named by ``__slots__``, all emptied by ``clear``."""
 
-    __slots__ = ("hits", "occurrences", "needless")
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self.hits: dict[tuple[int, ...], bool] = {}
-        self.occurrences: dict[tuple[int, ...], Occurrences] = {}
-        self.needless: dict[tuple, tuple[int, ...]] = {}
+        for name in self.__slots__:
+            setattr(self, name, {})
 
     def clear(self) -> None:
-        for memo in (self.hits, self.occurrences, self.needless):
-            memo.clear()
+        for name in self.__slots__:
+            getattr(self, name).clear()
+
+
+class _PathMemos(_Memos):
+    """What the recursion learns from a root path alone: the path grown by
+    a root in each gap (empty when it hits an atom), the occurrences in it
+    of the atoms' prefixes, its needless values per capped gaps, and its
+    drop plans (``_drop_plan``).  None of it depends on the family, so the
+    families of one sweep share one instance per pattern set."""
+
+    __slots__ = ("grown", "occurrences", "needless", "plans")
+
+
+class _GapTables(_Memos):
+    """What the recursion computes from gap counts alone, built on demand
+    and shared by every set and family of one sweep: the ``splits`` of a
+    gap vector.  Equal tuples are stored once, in ``tuples``."""
+
+    __slots__ = ("splits", "tuples")
+
+    def split(self, gaps: tuple[int, ...]) -> tuple:
+        """For each way the tree holding the smallest label ``m`` fills the
+        gaps: its ``counts``, the ways to choose its labels, and the labels
+        left (None when none are), as three tuples."""
+        intern = self.tuples.setdefault
+        low = next(i for i, size in enumerate(gaps) if size)  # m's gap
+        picks = [range(1 if i == low else 0, size + 1) for i, size in enumerate(gaps)]
+        tops = list(product(*picks))
+        # gaps - counts in the same order, up to the last (nothing left)
+        rests = list(product(*[range(size - p.start, -1, -1) for size, p in zip(gaps, picks)]))
+        del rests[-1]
+        # C(g, c) ways in a gap, C(g - 1, c - 1) in m's own
+        ways = product(*[[comb(size - p.start, c - p.start) for c in p] for size, p in zip(gaps, picks)])
+        out = self.splits[gaps] = (
+            tuple(map(intern, tops, tops)),
+            tuple(map(prod, ways)),
+            (*map(intern, rests, rests), None),
+        )
+        return out
 
 
 def _gap_count(
@@ -515,6 +553,7 @@ def _gap_count(
     atoms: Sequence[AtomSpec],
     statistic: str | None,
     paths: _PathMemos,
+    tables: _GapTables,
 ) -> list[dict[int, int]]:
     """Avoider weight on [n] of the forests whose root paths hit no atom,
     by statistic value (0 when none is asked for), for every n from 0 to
@@ -534,8 +573,10 @@ def _gap_count(
     Entry n reads the state ``((), (n,))``; the recursion from the largest
     of them passes through all the others, so one call answers every n.
     The forest and tree memos live for one call and are cleared before it
-    returns; the path memos ``paths`` are the caller's, who may share them
-    with the calls for other families.
+    returns.  The rest is the caller's: the path memos ``paths``, which it
+    may share with the calls for other families, and the gap ``tables``
+    (the splits of each gap vector), which depend on no path, family or
+    pattern and may serve every call of a sweep.
     """
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
@@ -558,10 +599,10 @@ def _gap_count(
         compress = True
         words = [word for word, _ in atoms]
         cap = _crowding(words)
-    choose = [[comb(a, b) for b in range(max_n + 1)] for a in range(max_n + 1)]
     arrangements = [factorial(t) if ordered else 1 for t in range(max_n + 1)]
     unit = (1,)  # the empty forest
-    hits, needless, occurrences = paths.hits, paths.needless, paths.occurrences
+    grown, occurrences, needless, plans = paths.grown, paths.occurrences, paths.needless, paths.plans
+    splits, intern = tables.splits, tables.tuples.setdefault
     forests: dict[tuple, tuple[int, ...]] = {}
     trees: dict[tuple, tuple[int, ...]] = {}
 
@@ -572,15 +613,20 @@ def _gap_count(
         if keep is not None and len(path) > keep:
             drop = (path[0],)  # the oldest value leaves the window
         elif compress:
-            key = (path, tuple(min(g, cap) for g in gaps))
+            key = (path, tuple([g if g < cap else cap for g in gaps]))
             drop = needless.get(key)
             if drop is None:
                 found = occurrences.get(path)
                 if found is None:
                     found = occurrences[path] = _occurrences(path, words)
-                drop = needless[key] = _needless(key[1], found)
+                drop = needless[path, intern(key[1], key[1])] = _needless(key[1], found)
         if drop:
-            path, gaps = _drop_values(path, gaps, drop)
+            key = (path, drop)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _drop_plan(path, drop)
+            path, slices = plan
+            gaps = tuple([sum(gaps[a:b]) for a, b in slices])
         if not any(gaps):
             return unit
         value = forest(path, gaps)
@@ -603,16 +649,19 @@ def _gap_count(
         for i, size in enumerate(counts):
             if not size:
                 continue
-            grown = tuple(v + (v > i) for v in path) + (i + 1,)
-            hit = hits.get(grown)
-            if hit is None:
-                hit = hits[grown] = _path_mask(grown, atoms) != 0
-            if hit:
+            at = (path, i)
+            up = grown.get(at)
+            if up is None:
+                up = tuple(v + (v > i) for v in path) + (i + 1,)
+                if _path_mask(up, atoms):
+                    up = ()
+                grown[at] = up
+            if not up:
                 continue
             lift = 1 if tdm and i == len(path) else 0
             head, tail = counts[:i], counts[i + 1 :]
             for j in range(size):
-                for s, weight in enumerate(below(grown, head + (j, size - 1 - j) + tail)):
+                for s, weight in enumerate(below(up, head + (j, size - 1 - j) + tail)):
                     acc[s + lift] += weight
         out = trees[key] = _packed(acc)
         return out
@@ -623,24 +672,12 @@ def _gap_count(
         out = forests.get(key)
         if out is not None:
             return out
-        low = next(i for i, size in enumerate(gaps) if size)  # m's gap
-        options = [
-            [(c, choose[size - 1][c - 1]) for c in range(1, size + 1)]
-            if i == low
-            else [(c, choose[size][c]) for c in range(size + 1)]
-            for i, size in enumerate(gaps)
-        ]
         acc = [0] * ((max_n + 1) * base if step else base)
-        for picks in product(*options):
-            counts = tuple(c for c, _ in picks)
+        for counts, ways, left in zip(*(splits.get(gaps) or tables.split(gaps))):
             first = tree(path, counts)
             if not first:
                 continue
-            ways = 1
-            for _, w in picks:
-                ways *= w
-            left = tuple(a - b for a, b in zip(gaps, counts))
-            rest = forest(path, left) if any(left) else unit
+            rest = forest(path, left) if left else unit
             for k, weight in enumerate(rest):
                 if binary and k >= 2 * base:
                     break  # a third tree
@@ -682,9 +719,10 @@ def count_sweep(
     The statistic, every n, jobs and every budget are checked before any
     counting.  Sets run one at a time, and sets with the same patterns run
     once: one recursion per family answers every n, the families share the
-    set's path memos, and the memos are freed before the next set.
-    ``jobs`` is accepted for compatibility; the result is the same for
-    every value.
+    set's path memos, and the memos are freed before the next set.  Every
+    set and family shares the sweep's gap tables (``_GapTables``), which
+    are freed when the sweep returns.  ``jobs`` is accepted for
+    compatibility; the result is the same for every value.
     """
     if statistic is not None and statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
@@ -698,19 +736,21 @@ def count_sweep(
     atoms, set_masks = _compile_sets(pattern_sets)
     out: dict[FamilyTag, list[list[dict[int, int]]]] = {family: [] for family in caps}
     done: dict[int, dict[FamilyTag, list[dict[int, int]]]] = {}
-    paths = _PathMemos()
-    for mask in set_masks:
-        if mask not in done:
-            chosen = [a for bit, a in enumerate(atoms) if mask >> bit & 1]
-            try:
+    paths, tables = _PathMemos(), _GapTables()
+    try:
+        for mask in set_masks:
+            if mask not in done:
+                paths.clear()
+                chosen = [a for bit, a in enumerate(atoms) if mask >> bit & 1]
                 done[mask] = {
-                    family: _gap_count(n, family, chosen, statistic, paths)
+                    family: _gap_count(n, family, chosen, statistic, paths, tables)
                     for family, n in caps.items()
                 }
-            finally:
-                paths.clear()
-        for family in caps:
-            out[family].append(done[mask][family])
+            for family in caps:
+                out[family].append(done[mask][family])
+    finally:
+        paths.clear()
+        tables.clear()
     return out
 
 

@@ -13,7 +13,7 @@ changes how many distinct objects there are.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .perms import Pattern, word_contains
 
@@ -177,12 +177,20 @@ def _reject(parent: dict[int, int], labels: tuple[int, ...]) -> ValueError:
             state[u] = 1
 
 
-def from_parents(n: int, parent: Mapping[int, int] | Sequence[int]) -> Forest:
-    """Build a forest on [n] from a parent map or a parent vector.
+def from_parents(
+    n: int,
+    parent: Mapping[int, int] | Sequence[int],
+    child_order: Mapping[int, Sequence[int]] | None = None,
+) -> Forest:
+    """Build a forest on [n] from a parent map or a parent vector, with
+    ``child_order`` as in :class:`Forest`.
 
     A sequence is read as ``parent[i] = seq[i-1]``.
     """
-    if isinstance(parent, Mapping):
+    # dicts, lists and tuples skip the costlier Mapping check
+    if isinstance(parent, dict) or (
+        not isinstance(parent, (list, tuple)) and isinstance(parent, Mapping)
+    ):
         parent = dict(parent)
         if sorted(parent) != list(range(1, n + 1)):
             raise ParentOutOfRange(f"vertices must be exactly 1..{n}")
@@ -191,10 +199,10 @@ def from_parents(n: int, parent: Mapping[int, int] | Sequence[int]) -> Forest:
         if len(seq) != n:
             raise ParentOutOfRange(f"expected {n} parents, got {len(seq)}")
         parent = dict(zip(range(1, n + 1), seq))
-    for v, p in parent.items():
-        if not 0 <= p <= n:
-            raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}")
-    return Forest(parent)
+    if parent and not (0 <= min(parent.values()) and max(parent.values()) <= n):
+        v, p = next((v, p) for v, p in parent.items() if not 0 <= p <= n)
+        raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}")
+    return Forest(parent, child_order)
 
 
 def _leaf_paths(children) -> list[tuple[int, ...]]:

@@ -41,7 +41,7 @@ def _ints(tokens: Iterable[str], form: str, text: str) -> tuple[int, ...]:
     """Integer tokens; a token that is not an integer is an error that
     names the expected ``form`` of the whole ``text``."""
     try:
-        return tuple(int(tok) for tok in tokens)
+        return tuple(map(int, tokens))
     except ValueError:
         raise ValueError(f"expected {form}, got {text!r}") from None
 
@@ -80,17 +80,21 @@ def parse_forest(text: str) -> Forest:
     if len(parts) not in (2, 3):
         raise ValueError(f"expected {_FOREST}, got {text!r}")
     n = _ints(parts[:1], _FOREST, text)[0]
-    base = from_parents(n, _ints(parts[1].split(), _FOREST, text))
+    parents = _ints(parts[1].split(), _FOREST, text)
     if len(parts) == 2:
-        return base
+        return from_parents(n, parents)
     chunks = parts[2].split(";")
-    if len(chunks) != n + 1:
-        raise ValueError(f"expected {n + 1} child orders, got {len(chunks)}")
-    order = {
-        v: _ints((tok for tok in chunk.split(",") if tok.strip()), _FOREST, text)
-        for v, chunk in enumerate(chunks)
-    }
-    return Forest(base.parent, order)
+    try:
+        if len(chunks) != n + 1:
+            raise ValueError(f"expected {n + 1} child orders, got {len(chunks)}")
+        order = {
+            v: _ints((tok for tok in chunk.split(",") if tok.strip()), _FOREST, text)
+            for v, chunk in enumerate(chunks)
+        }
+    except ValueError:
+        from_parents(n, parents)  # a bad parent vector is the first error
+        raise
+    return from_parents(n, parents, order)
 
 
 def forest_to_json(f: Forest) -> dict:

@@ -221,6 +221,35 @@ def test_budget_exceeded_is_reported():
 @pytest.mark.parametrize(
     "argv, env, message",
     [
+        (["count", "--family", "unordered", "--n", "0", "--avoid", "321", "--budget", "-3"],
+         None, "budget must be nonnegative, got -3"),
+        (["table", "--figure", "7", "--max-n", "1", "--budget", "-1"],
+         None, "budget must be nonnegative, got -1"),
+        (["count", "--family", "unordered", "--n", "0", "--avoid", "321"],
+         "-2", "FOREST_PATTERNS_BUDGET='-2' sets a negative budget -2"),
+        (["count", "--family", "binary", "--n", "2", "--avoid", "321"],
+         "unordered=-2", "FOREST_PATTERNS_BUDGET='unordered=-2' sets a negative budget -2"),
+        (["verify", "--theorem", "totals", "--max-n", "2"],
+         "unordered=-2", "FOREST_PATTERNS_BUDGET='unordered=-2' sets a negative budget -2"),
+    ],
+)
+def test_negative_budget_exits_two_before_counting(monkeypatch, capsys, argv, env, message):
+    from forest_patterns import counting
+
+    def refuse(*args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(counting, "_gap_count", refuse)
+    if env:
+        monkeypatch.setenv("FOREST_PATTERNS_BUDGET", env)
+    code, out = invoke(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
         (["--theorem", "duality", "--max-n", "9"], None, "n=9 exceeds the unordered budget 8"),
         (["--theorem", "all", "--max-n", "6"], "binary=5", "n=6 exceeds the binary budget 5"),
         (["--theorem", "totals", "--max-n", "5"], "unordered=3", "n=5 exceeds the unordered budget 3"),
@@ -248,9 +277,9 @@ def test_verify_counts_each_set_once_and_walks_no_parent_vector(monkeypatch):
     seen = []
     gap_count = counting._gap_count
 
-    def spy(max_n, family, atoms, statistic, paths):
+    def spy(max_n, family, atoms, statistic, paths, tables):
         seen.append((family, statistic, frozenset(atoms)))
-        return gap_count(max_n, family, atoms, statistic, paths)
+        return gap_count(max_n, family, atoms, statistic, paths, tables)
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify walked parent vectors")

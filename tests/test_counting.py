@@ -287,9 +287,9 @@ class TestTwoRoutes:
         seen = []
         gap_count = counting._gap_count
 
-        def spy(max_n, family, atoms, statistic, paths):
-            seen.append((family, tuple(atoms), len(paths.hits)))
-            return gap_count(max_n, family, atoms, statistic, paths)
+        def spy(max_n, family, atoms, statistic, paths, tables):
+            seen.append((family, tuple(atoms), len(paths.grown)))
+            return gap_count(max_n, family, atoms, statistic, paths, tables)
 
         monkeypatch.setattr(counting, "_gap_count", spy)
         sets = [[pattern(321)], [pattern(231)], [pattern(321)]]
@@ -306,6 +306,46 @@ class TestTwoRoutes:
         assert [hits == 0 for _, _, hits in seen] == [True, False, True, False]
         for family in caps:
             assert swept[family][2] == swept[family][0]
+
+    @pytest.mark.parametrize("statistic", [None, *STATISTICS], ids=["plain", *STATISTICS])
+    def test_sets_sharing_gap_tables_count_as_alone(self, statistic):
+        words = [*COMPRESSED_SETS, *MIXED_AND_LONGER_SETS, *OBJECT_ROUTE_SETS]
+        sets = [[pattern(w) for w in ws] for ws in words]
+        caps = {family: 6 for family in FamilyTag}
+        shared = counting.count_sweep(caps, sets, statistic)
+        for i, patterns in enumerate(sets):
+            alone = counting.count_sweep(caps, [patterns], statistic)
+            for family in FamilyTag:
+                assert shared[family][i] == alone[family][0], (words[i], family)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_gap_tables_are_shared_by_a_sweep_and_freed_after_it(self, monkeypatch, fail):
+        seen = []
+        gap_count = counting._gap_count
+
+        def spy(max_n, family, atoms, statistic, paths, tables):
+            seen.append((tables, len(tables.splits)))
+            if fail and len(seen) == 3:
+                raise RuntimeError("stop")
+            return gap_count(max_n, family, atoms, statistic, paths, tables)
+
+        monkeypatch.setattr(counting, "_gap_count", spy)
+        sets = [[pattern(321)], [pattern("!231")]]
+        caps = {FamilyTag.UNORDERED: 5, FamilyTag.UNORDERED_BINARY: 5}
+        if fail:
+            with pytest.raises(RuntimeError, match="stop"):
+                counting.count_sweep(caps, sets)
+        else:
+            counting.count_sweep(caps, sets)
+        tables = seen[0][0]
+        # one instance serves the whole sweep: only the first call finds it
+        # empty, and nothing is left in it once the sweep is over
+        assert all(t is tables for t, _ in seen)
+        assert [size == 0 for _, size in seen] == [True] + [False] * (len(seen) - 1)
+        assert not (tables.splits or tables.tuples)
+        first = len(seen)
+        counting.count_sweep(caps, sets)
+        assert seen[first][0] is not tables and seen[first][1] == 0
 
     def test_empty_set_counts_every_forest(self):
         caps = {FamilyTag.UNORDERED: 6, FamilyTag.UNORDERED_BINARY: 7, FamilyTag.ORDERED: 6}
@@ -465,6 +505,25 @@ class TestBudgets:
             monkeypatch.setenv("FOREST_PATTERNS_BUDGET", bad)
             with pytest.raises(ValueError, match="FOREST_PATTERNS_BUDGET.*N or unordered=N"):
                 budget_for(FamilyTag.UNORDERED)
+
+    @pytest.mark.parametrize("env", ["-2", "unordered=-2", "binary=5,ordered=-1"])
+    def test_negative_env_budget_is_rejected_for_every_family(self, monkeypatch, env):
+        monkeypatch.setenv("FOREST_PATTERNS_BUDGET", env)
+        bad = env.rsplit("=", 1)[-1]
+        for family in FamilyTag:
+            with pytest.raises(ValueError, match=f"FOREST_PATTERNS_BUDGET=.*negative budget {bad}$"):
+                budget_for(family)
+
+    def test_negative_budget_is_rejected_before_counting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counted before the budget check")
+
+        monkeypatch.setattr(counting, "_gap_count", refuse)
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -3"):
+            brute_count(0, FamilyTag.UNORDERED, [pattern(321)], budget=-3)
+        monkeypatch.setenv("FOREST_PATTERNS_BUDGET", "-2")
+        with pytest.raises(ValueError, match="negative budget -2"):
+            counting.count_sweep({FamilyTag.UNORDERED: 0}, [[pattern(321)]])
 
 
 class TestTableRows:

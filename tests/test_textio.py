@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from forest_patterns import CycleDecomposition, Forest, Permutation
+from forest_patterns.forests import CycleDetected, InvalidChildOrder, ParentOutOfRange
 from forest_patterns.generate import (
     Composition,
     ListPartition,
@@ -88,6 +89,21 @@ def test_parse_forest_rejects_malformed():
         parse_forest("nonsense")
     with pytest.raises(ValueError):
         parse_forest("2|0 1|1;2")  # needs n+1 order chunks
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("2|0 3|1;2", ParentOutOfRange, "parent 3 of vertex 2 out of range 0..2"),
+        ("2|0 1 1|1", ParentOutOfRange, "expected 2 parents, got 3"),
+        ("2|2 1|x;;", CycleDetected, "cycle through vertex 1"),
+        ("2|0 1|1;x;", ValueError, "expected a forest like"),
+        ("2|0 1|;1;2", InvalidChildOrder, r"child order \(\) of vertex 0"),
+    ],
+)
+def test_parse_forest_reports_a_bad_parent_vector_before_bad_child_orders(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_forest(text)
 
 
 def test_forest_json_needs_one_child_order_per_vertex_and_root():
