@@ -9,27 +9,32 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bijections as bij
 from . import counting, textio, verify
 from .forests import FamilyTag, Forest
 from .generate import (
     ListPartition,
+    _child_orders,
     gen_compositions,
-    gen_forests,
     gen_list_partitions,
     gen_ordered_cycle_decomps,
     gen_ordered_set_partitions,
     gen_partitioned_cycle_decomps,
     gen_set_partitions,
+    iter_parent_vectors,
 )
 from .perms import Pattern, PatternMode, pattern
 from .textio import object_from_json, object_to_json, object_to_text
 
 FOREST_FAMILIES = {tag.value: tag for tag in FamilyTag}
+
+# the output of json.dumps(value, sort_keys=True), with no new encoder per call
+_to_json = json.JSONEncoder(sort_keys=True).encode
 
 OBJECT_FAMILIES: dict[str, Callable[[int], object]] = {
     "set-partitions": gen_set_partitions,
@@ -120,7 +125,7 @@ BIJECTIONS: dict[str, tuple[Callable[[str], object], Callable, Callable | None]]
 def _emit_rows(rows: list[dict], fmt: str, out, line: Callable[[dict], str]) -> None:
     """Print ``rows`` as one JSON list, as CSV, or as one ``line`` each."""
     if fmt == "json":
-        print(json.dumps(rows, sort_keys=True), file=out)
+        print(_to_json(rows), file=out)
     elif fmt == "csv":
         if rows:
             writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
@@ -131,11 +136,24 @@ def _emit_rows(rows: list[dict], fmt: str, out, line: Callable[[dict], str]) -> 
             print(line(row), file=out)
 
 
-def _emit_object(obj, fmt: str, out) -> None:
+def _object_line(obj, fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps(object_to_json(obj), sort_keys=True), file=out)
-    else:
-        print(object_to_text(obj), file=out)
+        return _to_json(object_to_json(obj))
+    return object_to_text(obj)
+
+
+def _forest_lines(
+    n: int, vectors: Iterable[Sequence[int]], ordered: bool, fmt: str
+) -> Iterator[str]:
+    """The lines of ``_object_line`` for the forests of parent ``vectors``
+    on [n] (for ``ordered``, one per combination of child orders), spelled
+    from the vectors with no ``Forest`` built."""
+    for parents in vectors:
+        for orders in _child_orders(n, parents) if ordered else (None,):
+            if fmt == "json":
+                yield _to_json({"kind": "forest", **textio.vector_to_json(n, parents, orders)})
+            else:
+                yield textio.vector_to_text(n, parents, orders)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -150,15 +168,16 @@ def _cmd_enumerate(args, out) -> int:
         family = FOREST_FAMILIES[args.family]
         if args.avoid:
             pats = parse_pattern_list(args.avoid, args.mode)
-            stream = counting.gen_avoiders(args.n, family, pats)
+            vectors = counting._avoider_vectors(args.n, family, pats)
         else:
-            stream = gen_forests(args.n, family)
+            vectors = iter_parent_vectors(args.n, binary=family is FamilyTag.UNORDERED_BINARY)
+        lines = _forest_lines(args.n, vectors, family is FamilyTag.ORDERED, args.format)
     else:
         if args.avoid:
             raise ValueError("--avoid only applies to forest families")
-        stream = OBJECT_FAMILIES[args.family](args.n)
-    for obj in itertools.islice(stream, args.limit):
-        _emit_object(obj, args.format, out)
+        lines = (_object_line(obj, args.format) for obj in OBJECT_FAMILIES[args.family](args.n))
+    for line in itertools.islice(lines, args.limit):
+        print(line, file=out)
     return 0
 
 
@@ -198,7 +217,7 @@ def _cmd_map(args, out) -> int:
     # JSON input, read as its text form, opens with a key; {1,2}{3} does not
     if re.match(r'\{\s*"', text):
         text = object_to_text(object_from_json(text))
-    _emit_object(map_fn(parse(text)), args.format, out)
+    print(_object_line(map_fn(parse(text)), args.format), file=out)
     return 0
 
 
@@ -326,7 +345,15 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (say, ``| head -1``).  Point stdout at devnull
+        # so that the flush at exit cannot fail again, and say nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,12 @@ each forest by its trees or top-down maxima.
 
 The parent-vector tally (``_tally``) enumerates every forest instead; no
 command uses it, and the tests keep it as the independent oracle of the
-recursion.  The avoider stream ``gen_avoiders`` generates parent
+recursion.  The avoider stream ``_avoider_vectors`` generates parent
 vectors in the same order but cuts each branch at the first partial root
-path that hits a pattern, so it builds forests (and, for the ordered
-family, child orders) only for the vectors that avoid every pattern.
+path that hits a pattern, so it yields only the vectors that avoid every
+pattern.  ``gen_avoiders`` builds their forests (for the ordered family,
+with every combination of child orders); ``enumerate --avoid`` prints its
+lines straight from the vectors and builds none.
 """
 from __future__ import annotations
 
@@ -304,18 +306,30 @@ STATISTICS = ("tdm", "trees")
 
 def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iterator[Forest]:
     """The forests of ``gen_forests(n, family)`` that avoid every pattern,
-    in the same order.
+    in the same order: the forests of the vectors ``_avoider_vectors``
+    streams (for the ordered family, with every combination of child
+    orders)."""
+    ordered = family is FamilyTag.ORDERED
+    for vec in _avoider_vectors(n, family, patterns):
+        yield from _forests_of_vector(n, vec, ordered)
 
-    Parent vectors are generated as ``iter_parent_vectors`` does, and a
-    generation subtree is cut at the first chain that hits an atom.  When
+
+def _avoider_vectors(
+    n: int, family: FamilyTag, patterns: Iterable[Pattern]
+) -> Iterator[list[int]]:
+    """The parent vectors of ``iter_parent_vectors(n, binary)``, as lists,
+    whose forests avoid every pattern, in the same order.  Child orders
+    play no part: an ordered forest avoids the patterns iff its vector
+    does.
+
+    A generation subtree is cut at the first chain that hits an atom.  When
     vertex ``i`` takes a parent, the labels from each leaf hanging below
     ``i``, up through ``i`` to the root or to the first ancestor that has
     no parent yet, form a factor of every later root path through that
     leaf, so a hit (classical or consecutive) rules out every completion.
     Each root path is checked whole when its largest label takes a
     parent, so the vectors that survive are exactly the avoiders.  Chain
-    masks are memoized until the stream ends, and only avoiders become
-    forests (for the ordered family, only avoiders get child orders)."""
+    masks are memoized until the stream ends."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     patterns = list(patterns)
@@ -323,14 +337,13 @@ def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iter
         raise ValueError("pattern sets must be nonempty")
     atoms, _ = _compile_sets([patterns])
     binary = family is FamilyTag.UNORDERED_BINARY
-    ordered = family is FamilyTag.ORDERED
     parents = [0] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]  # among vertices with a parent
     cache: dict[tuple[int, ...], int] = {}
 
-    def rec(i: int) -> Iterator[Forest]:
-        if i > n:
-            yield from _forests_of_vector(n, parents[1:], ordered)
+    def rec(i: int) -> Iterator[list[int]]:
+        if i > n:  # only for n = 0: the empty vector
+            yield parents[1:]
             return
         below: list[tuple[int, ...]] = []  # from i down to each leaf under it
         stack = [(i,)]
@@ -363,6 +376,9 @@ def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iter
                     break
             else:
                 parents[i] = j
+                if i == n:
+                    yield parents[1:]
+                    continue
                 children[j].append(i)
                 yield from rec(i + 1)
                 children[j].pop()

@@ -171,6 +171,17 @@ def iter_parent_vectors(n: int, binary: bool = False) -> Iterator[tuple[int, ...
     yield from rec(1)
 
 
+def _child_orders(n: int, vec: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every combination of child orders of an acyclic parent vector on
+    [n], as the orders of vertices 0..n: lexicographically by the orders
+    of vertex 0, then of vertex 1, and so on, each an arrangement of the
+    ascending child list."""
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, p in enumerate(vec, 1):
+        children[p].append(i)
+    return itertools.product(*(list(itertools.permutations(kids)) for kids in children))
+
+
 def _forests_of_vector(n: int, vec: Sequence[int], ordered: bool) -> Iterator[Forest]:
     """The forest of one parent vector, or for the ordered family one
     forest per combination of child orders.  ``Forest`` itself rejects a
@@ -179,10 +190,8 @@ def _forests_of_vector(n: int, vec: Sequence[int], ordered: bool) -> Iterator[Fo
     if not ordered:
         yield base
         return
-    vertices = (0,) + base.labels
-    pools = [list(itertools.permutations(base.children(v))) for v in vertices]
-    for combo in itertools.product(*pools):
-        yield Forest(base.parent, dict(zip(vertices, combo)))
+    for combo in _child_orders(n, vec):
+        yield Forest(base.parent, dict(enumerate(combo)))
 
 
 def gen_forests(n: int, family: FamilyTag) -> Iterator[Forest]:

@@ -6,7 +6,9 @@ command line only looks the forms up here.
 Forests on [n] serialize as ``n|p_1 p_2 ... p_n`` (parent of vertex i at
 position i, 0 = virtual root); ordered forests append ``|`` and the child
 orders of vertices 0..n as semicolon-separated comma lists.  The JSON form
-uses keys ``n``, ``parents``, ``childOrder``.
+uses keys ``n``, ``parents``, ``childOrder``.  ``vector_to_text`` and
+``vector_to_json`` spell both forms from the parent vector and child
+orders alone, for a ``Forest`` and for a stream of vectors alike.
 
 Permutations are comma-separated integers; cycle decompositions are
 parenthesized cycles, wrapped in braces per block when partitioned;
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .forests import Forest, from_parents
 from .generate import Composition, ListPartition, OrderedSetPartition, SetPartition
@@ -63,16 +65,55 @@ def parse_perm(text: str) -> Permutation:
 # -- forests ----------------------------------------------------------------
 
 
-def forest_to_text(f: Forest) -> str:
-    if f.labels != tuple(range(1, f.n + 1)):
-        raise ValueError("text form is defined for forests on 1..n only")
-    base = f"{f.n}|" + " ".join(str(f.parent[i]) for i in range(1, f.n + 1))
-    if f.child_order is None:
+def vector_to_text(
+    n: int, parents: Sequence[int], orders: Sequence[Sequence[int]] | None = None
+) -> str:
+    """The text form of the forest on [n] with ``parents[i - 1]`` the
+    parent of ``i`` and, for an ordered forest, ``orders[v]`` the child
+    order of vertex ``v`` in 0..n."""
+    base = f"{n}|" + " ".join(map(str, parents))
+    if orders is None:
         return base
-    orders = ";".join(
-        ",".join(str(c) for c in f.child_order[v]) for v in range(f.n + 1)
-    )
-    return base + "|" + orders
+    return base + "|" + ";".join(",".join(map(str, kids)) for kids in orders)
+
+
+def vector_to_json(
+    n: int, parents: Sequence[int], orders: Sequence[Sequence[int]] | None = None
+) -> dict:
+    """The JSON form of the forest that ``vector_to_text`` spells."""
+    return {
+        "n": n,
+        "parents": list(parents),
+        "childOrder": None if orders is None else [list(kids) for kids in orders],
+    }
+
+
+def _vector_of(f: Forest, form: str) -> tuple[int, list[int], list[tuple[int, ...]] | None]:
+    if f.labels != tuple(range(1, f.n + 1)):
+        raise ValueError(f"{form} form is defined for forests on 1..n only")
+    parents = [f.parent[i] for i in range(1, f.n + 1)]
+    if f.child_order is None:
+        return f.n, parents, None
+    return f.n, parents, [f.child_order[v] for v in range(f.n + 1)]
+
+
+def forest_to_text(f: Forest) -> str:
+    return vector_to_text(*_vector_of(f, "text"))
+
+
+def _forest_on(
+    n: int, parents: tuple[int, ...], order: dict[int, tuple[int, ...]] | None = None
+) -> Forest:
+    """``from_parents(n, parents, order)``, with the vector checked once:
+    ``Forest`` checks a vector of length ``n``, and only a vector it
+    rejects goes through ``from_parents``, which raises that function's
+    first error."""
+    if len(parents) == n:
+        try:
+            return Forest(dict(zip(range(1, n + 1), parents)), order)
+        except ValueError:
+            pass
+    return from_parents(n, parents, order)
 
 
 def parse_forest(text: str) -> Forest:
@@ -82,7 +123,7 @@ def parse_forest(text: str) -> Forest:
     n = _ints(parts[:1], _FOREST, text)[0]
     parents = _ints(parts[1].split(), _FOREST, text)
     if len(parts) == 2:
-        return from_parents(n, parents)
+        return _forest_on(n, parents)
     chunks = parts[2].split(";")
     try:
         if len(chunks) != n + 1:
@@ -94,25 +135,26 @@ def parse_forest(text: str) -> Forest:
     except ValueError:
         from_parents(n, parents)  # a bad parent vector is the first error
         raise
-    return from_parents(n, parents, order)
+    return _forest_on(n, parents, order)
 
 
 def forest_to_json(f: Forest) -> dict:
-    if f.labels != tuple(range(1, f.n + 1)):
-        raise ValueError("JSON form is defined for forests on 1..n only")
-    child_order = None
-    if f.child_order is not None:
-        child_order = [list(f.child_order[v]) for v in range(f.n + 1)]
-    return {
-        "n": f.n,
-        "parents": [f.parent[i] for i in range(1, f.n + 1)],
-        "childOrder": child_order,
-    }
+    return vector_to_json(*_vector_of(f, "JSON"))
 
 
 def forest_from_json(data: dict | str) -> Forest:
     if isinstance(data, str):
         data = json.loads(data)
+    # A well-formed object is checked once, by Forest; any other goes
+    # through every check below, in order, for its first error.
+    try:
+        n, parents, orders = data["n"], data["parents"], data["childOrder"]
+        if len(parents) == n and (orders is None or len(orders) == n + 1):
+            if orders is not None:
+                orders = {v: tuple(kids) for v, kids in enumerate(orders)}
+            return Forest(dict(zip(range(1, n + 1), parents)), orders)
+    except (KeyError, TypeError, ValueError):
+        pass
     n = _key(data, "n")
     base = from_parents(n, _key(data, "parents"))
     child_order = _key(data, "childOrder")

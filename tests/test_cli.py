@@ -2,11 +2,14 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from forest_patterns import FamilyTag, avoids, pattern
+from forest_patterns import FamilyTag, avoids, forests, gen_avoiders, pattern
 from forest_patterns.cli import (
     BIJECTIONS,
     object_from_json,
@@ -340,9 +343,8 @@ def test_verify_all_output_bytes_are_pinned(fmt):
 # The benchmark oracle pins the stdout of 19 `enumerate --avoid` queries:
 # "family/n/format/token" keys, plus "unimodal" for the unordered n = 6
 # stream of 213,312 that the theta round trips read.
-ENUMERATE_PINS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json").read_text()
-)["enumerate"]
+ROOT = Path(__file__).resolve().parents[1]
+ENUMERATE_PINS = json.loads((ROOT / "perfbench" / "oracle.json").read_text())["enumerate"]
 
 
 def _enumerate_argv(key):
@@ -362,6 +364,78 @@ def test_enumerate_avoid_output_bytes_are_pinned(key):
     assert code == 0
     assert out.count("\n") == ENUMERATE_PINS[key]["lines"]
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_PINS[key]["sha256"]
+
+
+# Every forest family with no --avoid and with a classical, a consecutive
+# and a mixed set, at n <= 5 (ordered n <= 4).
+TWO_ROUTE_SETS = [None, "213", "!231", "321,!213"]
+TWO_ROUTE_TOP = {"unordered": 5, "binary": 5, "ordered": 4}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("avoid", TWO_ROUTE_SETS)
+@pytest.mark.parametrize("family", sorted(TWO_ROUTE_TOP))
+def test_enumerate_lines_parse_back_to_the_library_forests(family, avoid, fmt):
+    tag = FamilyTag(family)
+    parse = object_from_json if fmt == "json" else parse_forest
+    for n in range(TWO_ROUTE_TOP[family] + 1):
+        if avoid is None:
+            expected = list(gen_forests(n, tag))
+        else:
+            expected = list(gen_avoiders(n, tag, parse_pattern_list(avoid)))
+        for limit in (0, 3, None):
+            argv = ["enumerate", "--family", family, "--n", str(n), "--format", fmt]
+            argv += [] if avoid is None else ["--avoid", avoid]
+            argv += [] if limit is None else ["--limit", str(limit)]
+            code, out = invoke(*argv)
+            assert code == 0
+            assert [parse(line) for line in out.splitlines()] == expected[:limit], argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("avoid", [None, "321,!213"])
+@pytest.mark.parametrize("family", sorted(TWO_ROUTE_TOP))
+def test_enumerate_builds_no_forest_for_a_forest_family(monkeypatch, family, avoid, fmt):
+    argv = ["enumerate", "--family", family, "--n", "4", "--format", fmt]
+    argv += [] if avoid is None else ["--avoid", avoid]
+    expected = invoke(*argv)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("enumerate built a Forest")
+
+    monkeypatch.setattr(forests.Forest, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        forests.Forest({})
+    assert invoke(*argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, keep",
+    [
+        # about 137 kB, more than a pipe holds, so the writer meets the closed end
+        (["enumerate", "--family", "unordered", "--n", "6", "--avoid", "321"], 1),
+        # a few bytes, written only at exit, so the read end is closed first
+        (["count", "--family", "unordered", "--n", "5", "--avoid", "321", "--format", "csv"], 0),
+    ],
+)
+def test_a_closed_stdout_ends_the_command_quietly_with_exit_one(argv, keep):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end)
+    if not keep:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forest_patterns.cli", *argv],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    lines = [reader.readline() for _ in range(keep)]
+    reader.close()
+    _, err = proc.communicate(timeout=120)
+    assert lines == ["6|0 0 0 0 0 0\n"][:keep]
+    assert err == b""
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given
 
-from forest_patterns import CycleDecomposition, Forest, Permutation
+from forest_patterns import CycleDecomposition, Forest, Permutation, textio
 from forest_patterns.forests import CycleDetected, InvalidChildOrder, ParentOutOfRange
 from forest_patterns.generate import (
     Composition,
@@ -104,6 +104,34 @@ def test_parse_forest_rejects_malformed():
 def test_parse_forest_reports_a_bad_parent_vector_before_bad_child_orders(text, error, message):
     with pytest.raises(error, match=message):
         parse_forest(text)
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        ({"n": 2, "parents": [0, 3]}, ParentOutOfRange, "parent 3 of vertex 2 out of range 0..2"),
+        ({"n": 2, "parents": [0, 1, 1], "childOrder": None}, ParentOutOfRange,
+         "expected 2 parents, got 3"),
+        ({"n": 2, "parents": [2, 1], "childOrder": [[1]]}, CycleDetected, "cycle through vertex 1"),
+        ({"n": 2, "parents": [0, 1], "childOrder": [[], [2], [1]]}, InvalidChildOrder,
+         r"child order \(\) of vertex 0"),
+    ],
+)
+def test_forest_json_reports_a_bad_parent_vector_first(data, error, message):
+    with pytest.raises(error, match=message):
+        forest_from_json(data)
+
+
+def test_a_good_forest_line_is_checked_once(monkeypatch):
+    """Only Forest checks a well-formed line; from_parents sees bad ones."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("checked twice")
+
+    monkeypatch.setattr(textio, "from_parents", refuse)
+    for f in (Forest({1: 0, 2: 1, 3: 1}), Forest({1: 0, 2: 0}, {0: (2, 1), 1: (), 2: ()})):
+        assert parse_forest(forest_to_text(f)) == f
+        assert forest_from_json(forest_to_json(f)) == f
 
 
 def test_forest_json_needs_one_child_order_per_vertex_and_root():
