@@ -53,15 +53,18 @@ def parse_pattern_list(text: str, mode: str = "mixed") -> list[Pattern]:
     """Parse ``321,!231``: a ``!`` prefix marks a consecutive pattern.
 
     ``mode`` = classical or consecutive forces every pattern to that mode;
-    ``mixed`` (the default) honors the prefixes.
+    ``mixed`` (the default) honors the prefixes.  A token is one optional
+    ``!`` and digits; empty tokens are skipped.
     """
     pats = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
+        if not re.fullmatch(r"!?[0-9]+", tok):
+            raise ValueError(f"bad pattern {tok!r}: expected digits with an optional leading '!'")
         consecutive = tok.startswith("!")
-        word = tok.lstrip("!")
+        word = tok.removeprefix("!")
         if mode == "classical":
             consecutive = False
         elif mode == "consecutive":

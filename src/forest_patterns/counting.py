@@ -15,14 +15,14 @@ to a few thousand states per pattern set.  The forest of the state
 ``((), (n,))`` recurses into ``((), (n - c,))``, so one recursion answers
 every n up to the largest asked for; ``count_sweep`` runs one per pattern
 set and family.  The families of a sweep share the set's path memos
-(grown paths, prefix occurrences, needless values, drop plans), which
-depend on the patterns alone, and every set and family shares the split
-tables (``_GapTables``), which depend on gap counts alone.  Nothing is
-memoized across calls.
-Paths keep only what later occurrences can use: the last k - 1 values
-when every pattern is consecutive, and the values of the undominated
-prefix occurrences (``_needless``) when every pattern is classical.
-The number of trees
+(grown paths, prefix occurrences, drop plans), which depend on the
+patterns alone, and every set and family shares the split tables
+(``_GapTables``), which depend on gap counts alone.  Nothing is memoized
+across calls.  One rule (``_needless``) decides what a path keeps, for
+every mix of patterns and every statistic: the values of the undominated
+prefix occurrences of the classical patterns, the last k - 1 values for
+consecutive patterns of length up to k, and, for the top-down maxima,
+the path maximum.  The number of trees
 is tracked where the family needs it (binary nodes take at most two
 children, ordered nodes weigh t trees by t!), and the refined counts key
 each forest by its trees or top-down maxima.
@@ -452,10 +452,10 @@ def _crowding(words: Sequence[tuple[int, ...]]) -> int:
     return most
 
 
-def _needless(caps: tuple[int, ...], occurrences: Occurrences) -> tuple[int, ...]:
-    """The values of a path that no later occurrence of a classical atom
-    needs, given its gap counts ``caps`` (capped at ``_crowding``) and the
-    ``_occurrences`` in it of the atoms' prefixes.
+def _needless(caps: tuple[int, ...], found: Occurrences, fixed: tuple[int, ...]) -> tuple[int, ...]:
+    """The values of a path that no future needs, given its gap counts
+    ``caps`` (capped at ``_crowding``), the ``_occurrences`` in it of the
+    classical atoms' prefixes, and the values ``fixed`` that always stay.
 
     An occurrence of the first ``a`` letters of an atom is finished by
     later values with the pattern of the other letters, each from the
@@ -467,14 +467,15 @@ def _needless(caps: tuple[int, ...], occurrences: Occurrences) -> tuple[int, ...
     one too.  Occurrences of one prefix with the same nonempty gaps form
     a class, and a tie between prefixes goes to the longer one.  Values
     are dropped while every undominated class keeps an occurrence whose
-    values all stay; then no future changes whether the path hits an
-    atom, with the gaps beside each dropped value merged.
+    values all stay; then no future changes whether the path hits a
+    classical atom, with the gaps beside each dropped value merged.  That
+    holds for any larger kept set, so the ``fixed`` values are never tried.
     """
     nonempty = sum(1 << i for i, c in enumerate(caps) if c)
     classes = []  # (prefix length, nonempty gaps per later letter, occurrences with exactly those)
-    for found in occurrences:
+    for prefixes in found:
         best: list[tuple[int, list[int], list[tuple[int, ...]]]] = []  # undominated
-        for a, values, spans, crowded in found:
+        for a, values, spans, crowded in prefixes:
             masks = [span & nonempty for span in spans]
             if not all(masks) or any(sum(caps[start:end]) < k for start, end, k in crowded):
                 continue  # dead: an interval holds too few labels
@@ -494,8 +495,8 @@ def _needless(caps: tuple[int, ...], occurrences: Occurrences) -> tuple[int, ...
         classes += best
     # Every undominated class needs one of its occurrences on the path;
     # drop values while that holds.
-    kept = {v for _, _, same in classes for values in same for v in values}
-    must = {v for _, _, same in classes if len(same) == 1 for v in same[0]}
+    kept = {v for _, _, same in classes for values in same for v in values}.union(fixed)
+    must = {v for _, _, same in classes if len(same) == 1 for v in same[0]}.union(fixed)
     for v in sorted(kept - must):
         kept.discard(v)
         if not all(any(kept.issuperset(values) for values in same) for _, _, same in classes):
@@ -528,11 +529,14 @@ class _Memos:
 class _PathMemos(_Memos):
     """What the recursion learns from a root path alone: the path grown by
     a root in each gap (empty when it hits an atom), the occurrences in it
-    of the atoms' prefixes, its needless values per capped gaps, and its
-    drop plans (``_drop_plan``).  None of it depends on the family, so the
-    families of one sweep share one instance per pattern set."""
+    of the classical atoms' prefixes, and its drop plan (``_drop_plan`` of
+    the ``_needless`` values, empty when none are), keyed by the path and
+    its capped gaps, or by the path alone when no atom is classical; each
+    plan is ``built`` once per path and dropped values.  None of it depends
+    on the family, so the families of one sweep share one instance per
+    pattern set."""
 
-    __slots__ = ("grown", "occurrences", "needless", "plans")
+    __slots__ = ("grown", "occurrences", "plans", "built")
 
 
 class _GapTables(_Memos):
@@ -603,21 +607,16 @@ def _gap_count(
     # elsewhere every forest counts at t = 0.  One base serves every n.
     base = max_n + 1 if tdm else 1
     step = base if binary or ordered or statistic == "trees" else 0
-    # When every atom is consecutive, only the last k - 1 path values can
-    # take part in a later occurrence (none when there is no atom); when
-    # every atom is classical, the values that no later occurrence needs
-    # are dropped (``_needless``).  tdm needs the whole path.
-    keep = None
-    compress = False
-    if not tdm and all(consecutive for _, consecutive in atoms):
-        keep = max((len(word) for word, _ in atoms), default=1) - 1
-    elif not tdm and not any(consecutive for _, consecutive in atoms):
-        compress = True
-        words = [word for word, _ in atoms]
-        cap = _crowding(words)
+    # A path keeps what a future can use (``_needless``): what the classical
+    # atoms need, the last k - 1 values (contiguous, so consecutive atoms are
+    # read there alone) and under tdm the maximum, which bounds the top gap.
+    words = [word for word, consecutive in atoms if not consecutive]
+    runs = [word for word, consecutive in atoms if consecutive]
+    window = max(map(len, runs), default=1) - 1
+    cap = _crowding(words)
     arrangements = [factorial(t) if ordered else 1 for t in range(max_n + 1)]
     unit = (1,)  # the empty forest
-    grown, occurrences, needless, plans = paths.grown, paths.occurrences, paths.needless, paths.plans
+    grown, occurrences, plans, built = paths.grown, paths.occurrences, paths.plans, paths.built
     splits, intern = tables.splits, tables.tuples.setdefault
     forests: dict[tuple, tuple[int, ...]] = {}
     trees: dict[tuple, tuple[int, ...]] = {}
@@ -625,22 +624,22 @@ def _gap_count(
     def below(path: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[int, ...]:
         """Forests under a vertex, weighted by their child orders and indexed
         by statistic alone."""
-        drop: tuple[int, ...] = ()
-        if keep is not None and len(path) > keep:
-            drop = (path[0],)  # the oldest value leaves the window
-        elif compress:
-            key = (path, tuple([g if g < cap else cap for g in gaps]))
-            drop = needless.get(key)
-            if drop is None:
-                found = occurrences.get(path)
-                if found is None:
-                    found = occurrences[path] = _occurrences(path, words)
-                drop = needless[path, intern(key[1], key[1])] = _needless(key[1], found)
-        if drop:
-            key = (path, drop)
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _drop_plan(path, drop)
+        capped = tuple([g if g < cap else cap for g in gaps]) if words else gaps
+        key = (path, capped) if words else path  # no classical atom: drops need the path alone
+        plan = plans.get(key)
+        if plan is None:
+            found = occurrences.get(path)
+            if found is None:
+                found = occurrences[path] = _occurrences(path, words)
+            fixed = path[max(len(path) - window, 0) :] + ((len(path),) if tdm else ())
+            drop = _needless(capped, found, fixed)
+            plan = ()
+            if drop:
+                plan = built.get((path, drop))
+                if plan is None:
+                    plan = built[path, drop] = _drop_plan(path, drop)
+            plans[(path, intern(capped, capped)) if words else path] = plan
+        if plan:
             path, slices = plan
             gaps = tuple([sum(gaps[a:b]) for a, b in slices])
         if not any(gaps):
@@ -669,7 +668,9 @@ def _gap_count(
             up = grown.get(at)
             if up is None:
                 up = tuple(v + (v > i) for v in path) + (i + 1,)
-                if _path_mask(up, atoms):
+                if any(word_contains_classical(up, w) for w in words) or any(
+                    word_contains_consecutive(up[-len(w) :], w) for w in runs
+                ):
                     up = ()
                 grown[at] = up
             if not up:

@@ -42,6 +42,20 @@ def test_pattern_list_parsing():
     assert all(p.mode is PatternMode.CLASSICAL for p in forced)
     forced = parse_pattern_list("321", mode="consecutive")
     assert forced[0].mode is PatternMode.CONSECUTIVE
+    assert parse_pattern_list(" 21,, !12 ,") == [pattern(21), pattern("!12")]  # empty tokens skipped
+
+
+@pytest.mark.parametrize("token", ["!!21", "21!", "2!1", "!", "x", "-21", "2 1", "２１"])
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_bad_pattern_token_exits_two_naming_it(command, token, capsys):
+    for mode in ("mixed", "consecutive"):
+        code, out = invoke(
+            command, "--family", "unordered", "--n", "3", "--avoid", f"321,{token}", "--mode", mode
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: bad pattern {token!r}: expected digits with an optional leading '!'\n"
+        )
 
 
 def test_count_known_value():

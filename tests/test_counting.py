@@ -27,7 +27,8 @@ from forest_patterns import (
 from forest_patterns import counting, generate
 from forest_patterns.counting import FORMULA_CLASSES, STATISTICS, budget_for
 from forest_patterns.forests import avoids, avoids_per_vertex, top_down_maxima
-from forest_patterns.perms import word_contains_classical
+from forest_patterns.bijections import avoid312_to_avoid321
+from forest_patterns.perms import PatternMode, word_contains_classical, word_contains_consecutive
 
 # one classical, one consecutive, and one two-pattern set
 OBJECT_ROUTE_SETS = [("321",), ("!231",), ("213", "312")]
@@ -390,52 +391,102 @@ def _futures(caps, longest):
                 yield tuple(10 * i + 1 + next(order[i]) for i in seq)
 
 
+# COMPRESSED_SETS, then the mixed and longer sets it lacks
+RULE_SETS = COMPRESSED_SETS + [w for w in MIXED_AND_LONGER_SETS if w not in COMPRESSED_SETS]
+
+
 class TestClassicalCompression:
-    """Dropping the path values that no later occurrence needs."""
+    """Dropping the path values that no future needs."""
 
-    @pytest.mark.parametrize("words", COMPRESSED_SETS, ids="-".join)
+    @pytest.mark.parametrize("words", RULE_SETS, ids="-".join)
     def test_dropped_values_change_no_future(self, words):
-        atoms = [tuple(int(c) for c in w) for w in words]
-        longest = max(map(len, atoms)) - 1  # values an occurrence takes after the path
+        atoms = [pattern(w) for w in words]
+        classical = [p.perm.word for p in atoms if p.mode is PatternMode.CLASSICAL]
+        runs = [p.perm.word for p in atoms if p.mode is PatternMode.CONSECUTIVE]
+        window = max(map(len, runs), default=1) - 1
+        longest = max(len(p.perm.word) for p in atoms) - 1  # values an occurrence takes after the path
 
-        def hit(seq):
-            return any(word_contains_classical(seq, a) for a in atoms)
+        def hit(seq, start):
+            """Classical atoms on all of ``seq``, consecutive ones on the
+            windows that end at ``start`` or later."""
+            return any(word_contains_classical(seq, a) for a in classical) or any(
+                word_contains_consecutive(seq[max(start - len(a) + 1, 0) :], a) for a in runs
+            )
 
-        dropped = 0
+        dropped = checked = 0
         for length in range(1, 6 - longest):
             for path in permutations(range(1, length + 1)):
-                if hit(path):
+                if hit(path, 0):
                     continue
-                found = counting._occurrences(path, atoms)
-                for caps in product(range(3), repeat=length + 1):
-                    drop = counting._needless(caps, found)
-                    dropped += len(drop)
-                    whole = tuple(10 * x for x in path)
-                    rest = tuple(10 * x for x in path if x not in drop)
-                    for future in _futures(caps, longest):
-                        assert hit(whole + future) == hit(rest + future), (path, caps, drop, future)
-        assert dropped
+                found = counting._occurrences(path, classical)
+                last = path[max(length - window, 0) :]
+                for fixed in (last, last + (length,)):  # under tdm the maximum stays too
+                    for caps in product(range(3), repeat=length + 1):
+                        drop = counting._needless(caps, found, fixed)
+                        assert not set(drop) & set(fixed), (path, caps, drop)
+                        dropped += len(drop)
+                        whole = tuple(10 * x for x in path)
+                        rest = tuple(10 * x for x in path if x not in drop)
+                        for future in _futures(caps, longest):
+                            checked += 1
+                            assert hit(whole + future, len(whole)) == hit(rest + future, len(rest)), (
+                                path, caps, fixed, drop, future,
+                            )
+        # a set drops values unless no path avoids it or its window covers
+        # every path checked
+        assert dropped or not checked or window >= 5 - longest
 
     def test_321_keeps_the_maximum_and_the_largest_value_after_a_larger_one(self):
         found = counting._occurrences((2, 4, 1, 3), [(3, 2, 1)])
-        assert counting._needless((2, 2, 2, 2, 2), found) == (1, 2)
+        assert counting._needless((2, 2, 2, 2, 2), found, ()) == (1, 2)
         # with no label between 1 and 4, the pairs (2, 1), (4, 1) and (4, 3)
         # need the same labels, and one of them is enough
-        assert counting._needless((2, 0, 0, 0, 2), found) == (1, 2)
+        assert counting._needless((2, 0, 0, 0, 2), found, ()) == (1, 2)
 
     def test_dead_occurrences_are_dropped(self):
         found = counting._occurrences((1,), [(1, 2, 3)])
-        assert counting._needless((2, 1), found) == (1,)  # one label above 1
-        assert counting._needless((0, 2), found) == ()
+        assert counting._needless((2, 1), found, ()) == (1,)  # one label above 1
+        assert counting._needless((0, 2), found, ()) == ()
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     def test_equals_the_uncompressed_recursion(self, family, monkeypatch):
-        # n = 7, and n = 6 for sets with length-4 patterns
-        sets = [[pattern(w) for w in words] for words in COMPRESSED_SETS]
-        sizes = [7 if all(len(w) == 3 for w in words) else 6 for words in COMPRESSED_SETS]
-        compressed = [brute_count(n, family, pats, budget=7) for n, pats in zip(sizes, sets)]
-        monkeypatch.setattr(counting, "_needless", lambda caps, found: ())
-        assert [brute_count(n, family, pats, budget=7) for n, pats in zip(sizes, sets)] == compressed
+        sets = [[pattern(w) for w in words] for words in COMPRESSED_SETS + MIXED_AND_LONGER_SETS]
+        statistics = (None, *STATISTICS)
+        compressed = [counting.count_sweep({family: 7}, sets, s, budget=7) for s in statistics]
+        # drop nothing, and skip the occurrences that nothing reads then
+        monkeypatch.setattr(counting, "_needless", lambda caps, found, fixed: ())
+        monkeypatch.setattr(counting, "_occurrences", lambda path, words: [])
+        assert [counting.count_sweep({family: 7}, sets, s, budget=7) for s in statistics] == compressed
+
+    def test_tdm_and_mixed_sets_drop_path_values(self, monkeypatch):
+        drops = []
+
+        def spy(path, drop):
+            drops.append(drop)
+            return drop_plan(path, drop)
+
+        drop_plan = counting._drop_plan
+        monkeypatch.setattr(counting, "_drop_plan", spy)
+        refined_table(7, FamilyTag.UNORDERED, [pattern(312)], "tdm")
+        assert drops
+        drops.clear()
+        brute_count(7, FamilyTag.UNORDERED, [pattern(321), pattern("!213")])
+        assert drops
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    def test_312_and_321_share_the_tdm_split(self, family):
+        # the engine's route; the shape- and maxima-preserving bijection
+        # avoid312_to_avoid321 is the second
+        for n in range(10):
+            tdm = refined_table(n, family, [pattern(312)], "tdm", budget=9)
+            assert tdm == refined_table(n, family, [pattern(321)], "tdm", budget=9), n
+        if family is not FamilyTag.ORDERED:
+            for n in range(6):
+                mapped = Counter(
+                    len(top_down_maxima(avoid312_to_avoid321(f)))
+                    for f in gen_avoiders(n, family, [pattern(312)])
+                )
+                assert mapped == refined_table(n, family, [pattern(321)], "tdm"), n
 
 
 # Pattern sets whose unordered and binary streams are also checked at n = 6.
