@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from forest_patterns import FamilyTag, brute_count, gen_forests, pattern
+from forest_patterns import FamilyTag, count_sweep, gen_forests, pattern
 from forest_patterns.forests import avoids_per_vertex
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "ordered_consecutive_n5.json"
@@ -30,9 +30,8 @@ N = 5
 
 
 def route_a() -> dict[str, int]:
-    return {
-        p: brute_count(N, FamilyTag.ORDERED, [pattern("!" + p)]) for p in PATTERNS
-    }
+    swept = count_sweep({FamilyTag.ORDERED: N}, [[pattern("!" + p)] for p in PATTERNS])
+    return {p: by_n[N].get(0, 0) for p, by_n in zip(PATTERNS, swept[FamilyTag.ORDERED])}
 
 
 def route_b() -> dict[str, int]:

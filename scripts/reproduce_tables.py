@@ -5,7 +5,7 @@ the full PASS/FAIL sweep of the closed-form-vs-engine checks.  Exits
 nonzero if any cell or check disagrees.
 
 Usage:
-    python scripts/reproduce_tables.py [--max-n 5] [--check-max-n 6] [--jobs N]
+    python scripts/reproduce_tables.py [--max-n 5] [--check-max-n 6]
 """
 from __future__ import annotations
 
@@ -20,14 +20,13 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=5, help="table rows to recompute")
     ap.add_argument("--check-max-n", type=int, default=6, help="bound for the named checks")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     failures = 0
     for figure in sorted(REFERENCE_TABLES):
         family = REFERENCE_TABLES[figure]["family"].value
         print(f"== table {figure} ({family} forests) ==")
-        for row in table_rows(figure, args.max_n, jobs=args.jobs):
+        for row in table_rows(figure, args.max_n):
             expected = row["expected"]
             status = "."
             if expected is None:
@@ -41,7 +40,7 @@ def main() -> int:
             )
 
     print(f"== named checks, n <= {args.check_max_n} ==")
-    rows = run_check("all", args.check_max_n, jobs=args.jobs)
+    rows = run_check("all", args.check_max_n)
     bad = [r for r in rows if not r.ok]
     failures += len(bad)
     for r in bad:

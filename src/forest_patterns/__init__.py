@@ -40,16 +40,12 @@ from .counting import (
     REFERENCE_TABLES,
     bell,
     binom,
-    brute_count,
     catalan,
     count_sweep,
     formula,
     gen_avoiders,
-    refined_count,
-    refined_table,
     stirling1,
     stirling2,
-    sweep_counts,
     table_rows,
 )
 from .forests import (

@@ -192,19 +192,16 @@ def _cmd_count(args, out) -> int:
         "n": args.n,
         "patterns": ",".join(str(p) for p in pats),
     }
+    swept = counting.count_sweep({family: args.n}, [pats], args.by, budget=args.budget)
+    table = swept[family][0][args.n]
     if args.by:
-        table = counting.refined_table(
-            args.n, family, pats, args.by, jobs=args.jobs, budget=args.budget
-        )
         rows = [
             {**base, "by": args.by, "value": k, "count": table[k]}
             for k in sorted(table)
         ]
         _emit_rows(rows, args.format, out, lambda row: f"{row['value']} {row['count']}")
     else:
-        value = counting.brute_count(
-            args.n, family, pats, jobs=args.jobs, budget=args.budget
-        )
+        value = table.get(0, 0)
         _emit_rows([{**base, "count": value}], args.format, out, lambda row: str(row["count"]))
     return 0
 
@@ -232,7 +229,7 @@ def _verify_line(row: dict) -> str:
 
 
 def _cmd_verify(args, out) -> int:
-    rows = verify.run_check(args.theorem, args.max_n, jobs=args.jobs)
+    rows = verify.run_check(args.theorem, args.max_n)
     payload = [
         {
             "check": r.check,
@@ -258,9 +255,7 @@ def _table_line(row: dict) -> str:
 
 
 def _cmd_table(args, out) -> int:
-    rows = list(
-        counting.table_rows(args.figure, args.max_n, jobs=args.jobs, budget=args.budget)
-    )
+    rows = list(counting.table_rows(args.figure, args.max_n, budget=args.budget))
     for row in rows:
         row["match"] = (
             "" if row["expected"] is None else str(row["computed"] == row["expected"])
@@ -341,6 +336,10 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     args = ap.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        # Counting runs in one process, so --jobs changes no result; count,
+        # verify and table keep the flag for the callers that pass it.
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         return _COMMANDS[args.command](args, out)
     except (ValueError, KeyError, counting.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,9 @@ consecutive patterns of length up to k, and, for the top-down maxima,
 the path maximum.  The number of trees
 is tracked where the family needs it (binary nodes take at most two
 children, ordered nodes weigh t trees by t!), and the refined counts key
-each forest by its trees or top-down maxima.
+each forest by its trees or top-down maxima.  ``count_sweep`` is the one
+counting entry: a plain count, a refined table, many sets and many n are
+all read from its result.
 
 The parent-vector tally (``_tally``) enumerates every forest instead; no
 command uses it, and the tests keep it as the independent oracle of the
@@ -725,29 +727,26 @@ def count_sweep(
     caps: Mapping[FamilyTag, int],
     pattern_sets: Sequence[Sequence[Pattern]],
     statistic: str | None = None,
-    jobs: int = 1,
     budget: int | None = None,
 ) -> dict[FamilyTag, list[list[dict[int, int]]]]:
     """Avoider weight of each pattern set by statistic value (0 when none
     is asked for), in each family of ``caps`` for every n from 0 to its
-    cap: ``out[family][i][n]`` for the i-th set.  The empty set is avoided
-    by every forest.
+    cap: ``out[family][i][n]`` for the i-th set.  That entry is the table
+    refined by ``statistic``; with no statistic, its ``.get(0, 0)`` is the
+    plain avoider count.  The empty set is avoided by every forest.
 
-    The statistic, every n, jobs and every budget are checked before any
+    The statistic, every n and every budget are checked before any
     counting.  Sets run one at a time, and sets with the same patterns run
     once: one recursion per family answers every n, the families share the
     set's path memos, and the memos are freed before the next set.  Every
     set and family shares the sweep's gap tables (``_GapTables``), which
-    are freed when the sweep returns.  ``jobs`` is accepted for
-    compatibility; the result is the same for every value.
+    are freed when the sweep returns.
     """
     if statistic is not None and statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
     for n in caps.values():
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for family, n in caps.items():
         check_budget(n, family, budget)
     atoms, set_masks = _compile_sets(pattern_sets)
@@ -769,62 +768,6 @@ def count_sweep(
         paths.clear()
         tables.clear()
     return out
-
-
-def sweep_counts(
-    n: int,
-    family: FamilyTag,
-    pattern_sets: Sequence[Sequence[Pattern]],
-    jobs: int = 1,
-    budget: int | None = None,
-) -> list[int]:
-    """Avoider counts for many pattern sets.  ``jobs`` is accepted for
-    compatibility; the result is the same for every value."""
-    swept = count_sweep({family: n}, pattern_sets, jobs=jobs, budget=budget)[family]
-    return [by_n[n].get(0, 0) for by_n in swept]
-
-
-def brute_count(
-    n: int,
-    family: FamilyTag,
-    patterns: Iterable[Pattern],
-    jobs: int = 1,
-    budget: int | None = None,
-) -> int:
-    """Number of family forests on [n] avoiding every given pattern."""
-    return sweep_counts(n, family, [list(patterns)], jobs=jobs, budget=budget)[0]
-
-
-# -- refined counts ---------------------------------------------------------
-
-
-def refined_table(
-    n: int,
-    family: FamilyTag,
-    patterns: Iterable[Pattern],
-    statistic: str,
-    jobs: int = 1,
-    budget: int | None = None,
-) -> dict[int, int]:
-    """Avoider counts refined by a statistic (``tdm`` or ``trees``)."""
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
-    swept = count_sweep({family: n}, [list(patterns)], statistic, jobs=jobs, budget=budget)
-    return swept[family][0][n]
-
-
-def refined_count(
-    n: int,
-    family: FamilyTag,
-    patterns: Iterable[Pattern],
-    statistic: str,
-    value: int,
-    jobs: int = 1,
-    budget: int | None = None,
-) -> int:
-    return refined_table(n, family, patterns, statistic, jobs=jobs, budget=budget).get(
-        value, 0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +873,7 @@ REFERENCE_TABLES: dict[str, dict] = {
 TABLE_PATTERNS = ("321", "231", "132")
 
 
-def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None):
+def table_rows(figure: str, max_n: int, budget: int | None = None):
     """Computed-vs-expected rows for one reference table.
 
     Returns a lazy stream of dicts with keys figure, family, n, pattern,
@@ -941,10 +884,10 @@ def table_rows(figure: str, max_n: int, jobs: int = 1, budget: int | None = None
         raise KeyError(f"unknown table {figure!r}; valid: {sorted(REFERENCE_TABLES)}")
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    return _table_rows(figure, max_n, jobs, budget)
+    return _table_rows(figure, max_n, budget)
 
 
-def _table_rows(figure: str, max_n: int, jobs: int, budget: int | None):
+def _table_rows(figure: str, max_n: int, budget: int | None):
     ref = REFERENCE_TABLES[figure]
     family: FamilyTag = ref["family"]
     pattern_sets = []
@@ -954,7 +897,7 @@ def _table_rows(figure: str, max_n: int, jobs: int, budget: int | None):
             word = pat if mode == "classical" else "!" + pat
             pattern_sets.append([pattern(word)])
             meta.append((pat, mode))
-    swept = count_sweep({family: max_n}, pattern_sets, jobs=jobs, budget=budget)
+    swept = count_sweep({family: max_n}, pattern_sets, budget=budget)
     for n in range(1, max_n + 1):
         for (pat, mode), by_n in zip(meta, swept[family]):
             value = by_n[n].get(0, 0)

@@ -9,7 +9,8 @@ once per statistic in every family it is needed in, checks every budget,
 and makes one ``count_sweep`` per statistic and family caps.  The checks
 then read their rows from the shared counts, which are dropped when
 ``run_check`` returns.  ``totals`` counts the empty pattern set, that is
-every forest, through the same recursion.
+every forest, through the same recursion.  ``run_check(name, max_n)``
+takes nothing else: the rows depend on the check and ``max_n`` alone.
 """
 from __future__ import annotations
 
@@ -231,18 +232,15 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_check(name: str, max_n: int, jobs: int = 1) -> list[CheckRow]:
+def run_check(name: str, max_n: int) -> list[CheckRow]:
     """The rows of check ``name`` (or of every check, for ``"all"``) for
-    n up to ``max_n``.  ``jobs`` is accepted for compatibility; the rows
-    are the same for every value."""
+    n up to ``max_n``."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     if name != "all" and name not in CHECKS:
         raise KeyError(
             f"unknown theorem {name!r}; valid: {', '.join(sorted(CHECKS) + ['all'])}"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     checks = list(CHECKS.values()) if name == "all" else [CHECKS[name]]
     # The plan: the largest n per family of each (statistic, atom set).
     plan: dict[tuple[str | None, frozenset[Pattern]], dict[FamilyTag, int]] = {}

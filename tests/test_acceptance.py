@@ -18,6 +18,7 @@ from forest_patterns import (
     catalan,
     complement,
     count_forests,
+    count_sweep,
     formula,
     gen_forests,
     gen_list_partitions,
@@ -26,10 +27,8 @@ from forest_patterns import (
     gen_partitioned_cycle_decomps,
     gen_set_partitions,
     pattern,
-    refined_table,
     shape_signature,
     stirling1,
-    sweep_counts,
     top_down_maxima,
 )
 from forest_patterns.bijections import (
@@ -75,6 +74,12 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number} {description}: PASS ({elapsed:.1f}s)")
 
 
+def _rows(n, family, sets, statistic=None):
+    """Row n of ``count_sweep`` for each of ``sets``: the avoider weight on
+    [n] by statistic value (all under 0 with none)."""
+    return [by_n[n] for by_n in count_sweep({family: n}, sets, statistic)[family]]
+
+
 def _table_counts(figure, max_n=5):
     ref = REFERENCE_TABLES[figure]
     sets, meta = [], []
@@ -84,8 +89,8 @@ def _table_counts(figure, max_n=5):
             meta.append((mode, pat))
     out = {}
     for n in range(1, max_n + 1):
-        for (mode, pat), got in zip(meta, sweep_counts(n, ref["family"], sets)):
-            out[(mode, pat, n)] = got
+        for (mode, pat), got in zip(meta, _rows(n, ref["family"], sets)):
+            out[(mode, pat, n)] = got.get(0, 0)
     return out
 
 
@@ -143,28 +148,28 @@ def test_criterion_4_theorems_vs_brute_force():
                 sets.append([pattern(w) for w in words])
                 meta.append((name, words))
         for n in range(1, 8):
-            counts = sweep_counts(n, FamilyTag.UNORDERED, sets)
+            counts = _rows(n, FamilyTag.UNORDERED, sets)
             for (name, words), got in zip(meta, counts):
-                assert got == formula(name, n), (name, words, n)
+                assert got.get(0, 0) == formula(name, n), (name, words, n)
 
         for n in range(1, 7):
             unimodal = _patterns((213, 312))
-            by_tdm = refined_table(n, FamilyTag.UNORDERED, unimodal, "tdm")
+            [by_tdm] = _rows(n, FamilyTag.UNORDERED, [unimodal], "tdm")
             for k in range(1, n + 1):
                 assert by_tdm.get(k, 0) == factorial(k) * stirling1(n, k)
-            by_trees = refined_table(n, FamilyTag.UNORDERED, unimodal, "trees")
+            [by_trees] = _rows(n, FamilyTag.UNORDERED, [unimodal], "trees")
             for m in range(1, n + 1):
                 expected = sum(stirling1(k, m) * stirling1(n, k) for k in range(m, n + 1))
                 assert by_trees.get(m, 0) == expected
 
             flat = _patterns((312, 213, 132))
-            by_trees = refined_table(n, FamilyTag.UNORDERED, flat, "trees")
+            [by_trees] = _rows(n, FamilyTag.UNORDERED, [flat], "trees")
             for k in range(1, n + 1):
                 expected = factorial(n) // factorial(k) * binom(n - 1, k - 1)
                 assert by_trees.get(k, 0) == expected
 
             rec = _patterns((213, 312, 231))
-            by_trees = refined_table(n, FamilyTag.UNORDERED, rec, "trees")
+            [by_trees] = _rows(n, FamilyTag.UNORDERED, [rec], "trees")
             assert by_trees.get(1, 0) == formula("uni231_trees", n)
         assert time.monotonic() - start < 120
 
@@ -269,8 +274,8 @@ def test_criterion_5_bijection_suite(unordered_forests):
 def test_criterion_6_structural_sanity(unordered_forests):
     with criterion(6, "pattern-length-2 counts, family totals, complement duality"):
         for n in range(1, 8):
-            inc, dec = sweep_counts(n, FamilyTag.UNORDERED, [[pattern(21)], [pattern(12)]])
-            assert inc == dec == factorial(n)
+            inc, dec = _rows(n, FamilyTag.UNORDERED, [[pattern(21)], [pattern(12)]])
+            assert inc.get(0, 0) == dec.get(0, 0) == factorial(n)
 
         for n in range(0, 9):
             assert count_forests(n, FamilyTag.UNORDERED) == (n + 1) ** max(n - 1, 0)
@@ -289,7 +294,7 @@ def test_criterion_6_structural_sanity(unordered_forests):
                         sets.append(_patterns(words, mode))
                         sets.append(_patterns(comp, mode))
                         pairs.append((words, comp, mode))
-                counts = sweep_counts(n, family, sets)
+                counts = [by_value.get(0, 0) for by_value in _rows(n, family, sets)]
                 for i, (words, comp, mode) in enumerate(pairs):
                     assert counts[2 * i] == counts[2 * i + 1], (family, n, words, mode)
 

@@ -460,8 +460,10 @@ def test_a_closed_stdout_ends_the_command_quietly_with_exit_one(argv, keep):
         ["count", "--family", "unordered", "--n", "3", "--avoid", "321", "--jobs", "-3"],
         ["verify", "--theorem", "all", "--max-n", "0", "--jobs", "1"],
         ["verify", "--theorem", "unimodal", "--max-n", "-1", "--jobs", "1"],
+        ["verify", "--theorem", "all", "--max-n", "3", "--jobs", "0"],
         ["table", "--figure", "7", "--max-n", "0"],
         ["table", "--figure", "12", "--max-n", "-1"],
+        ["table", "--figure", "13", "--max-n", "3", "--jobs", "0"],
         ["enumerate", "--family", "set-partitions", "--n", "-1"],
         ["enumerate", "--family", "compositions", "--n", "-2"],
         ["enumerate", "--family", "unordered", "--n", "3", "--limit", "-1"],
@@ -472,7 +474,10 @@ def test_a_closed_stdout_ends_the_command_quietly_with_exit_one(argv, keep):
 def test_out_of_range_arguments_exit_two(argv, capsys):
     code, out = invoke(*argv)
     assert code == 2 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if argv[-2:] == ["--jobs", "0"]:
+        assert err == "error: jobs must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize(

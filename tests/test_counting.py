@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from itertools import combinations, permutations, product
 from math import factorial
@@ -10,21 +11,18 @@ from forest_patterns import (
     REFERENCE_TABLES,
     bell,
     binom,
-    brute_count,
     catalan,
     formula,
     gen_avoiders,
     gen_forests,
     pattern,
-    refined_count,
-    refined_table,
     shape_signature,
     stirling1,
     stirling2,
-    sweep_counts,
     table_rows,
 )
-from forest_patterns import counting, generate
+import forest_patterns
+from forest_patterns import counting, generate, verify
 from forest_patterns.counting import FORMULA_CLASSES, STATISTICS, budget_for
 from forest_patterns.forests import avoids, avoids_per_vertex, top_down_maxima
 from forest_patterns.bijections import avoid312_to_avoid321
@@ -32,6 +30,27 @@ from forest_patterns.perms import PatternMode, word_contains_classical, word_con
 
 # one classical, one consecutive, and one two-pattern set
 OBJECT_ROUTE_SETS = [("321",), ("!231",), ("213", "312")]
+
+
+def _count(n, family, patterns, statistic=None, budget=None):
+    """Row n of a one-set ``count_sweep``: the avoider weight of
+    ``patterns`` on [n] by statistic value (all under 0 with none)."""
+    swept = counting.count_sweep({family: n}, [list(patterns)], statistic, budget=budget)
+    return swept[family][0][n]
+
+
+class TestOneEntry:
+    def test_no_counting_wrappers_are_exported(self):
+        for name in ("sweep_counts", "brute_count", "refined_table", "refined_count"):
+            assert not hasattr(forest_patterns, name), name
+            assert not hasattr(counting, name), name
+        assert "count_sweep" in forest_patterns.__all__
+
+    def test_no_public_function_takes_jobs(self):
+        for module in (forest_patterns, counting, verify):
+            for name, value in vars(module).items():
+                if not name.startswith("_") and inspect.isfunction(value):
+                    assert "jobs" not in inspect.signature(value).parameters, (module, name)
 
 
 class TestNumberFamilies:
@@ -85,7 +104,7 @@ class TestFormulas:
     def test_formula_matches_brute_force(self, name, n):
         expected = formula(name, n)
         for words in FORMULA_CLASSES[name]:
-            got = brute_count(n, FamilyTag.UNORDERED, [pattern(w) for w in words], budget=9)
+            got = _count(n, FamilyTag.UNORDERED, [pattern(w) for w in words], budget=9).get(0, 0)
             assert got == expected
 
 
@@ -97,21 +116,21 @@ class TestBruteCounts:
             for pat, expected in ref[mode].items():
                 word = pat if mode == "classical" else "!" + pat
                 for n in range(1, 5):
-                    got = brute_count(n, ref["family"], [pattern(word)])
+                    got = _count(n, ref["family"], [pattern(word)]).get(0, 0)
                     assert got == expected[n - 1], (figure, mode, pat, n)
 
     def test_wilf_split_at_n5(self):
-        assert brute_count(5, FamilyTag.UNORDERED, [pattern(321)]) == 918
-        assert brute_count(5, FamilyTag.UNORDERED, [pattern(231)]) == 917
-        assert brute_count(5, FamilyTag.UNORDERED, [pattern(132)]) == 918
+        assert _count(5, FamilyTag.UNORDERED, [pattern(321)]).get(0, 0) == 918
+        assert _count(5, FamilyTag.UNORDERED, [pattern(231)]).get(0, 0) == 917
+        assert _count(5, FamilyTag.UNORDERED, [pattern(132)]).get(0, 0) == 918
 
     def test_empty_ground(self):
-        assert brute_count(0, FamilyTag.UNORDERED, [pattern(21)]) == 1
+        assert _count(0, FamilyTag.UNORDERED, [pattern(21)]).get(0, 0) == 1
 
     def test_pattern_length_two(self):
         for n in range(1, 6):
-            assert brute_count(n, FamilyTag.UNORDERED, [pattern(21)]) == factorial(n)
-            assert brute_count(n, FamilyTag.UNORDERED, [pattern(12)]) == factorial(n)
+            assert _count(n, FamilyTag.UNORDERED, [pattern(21)]).get(0, 0) == factorial(n)
+            assert _count(n, FamilyTag.UNORDERED, [pattern(12)]).get(0, 0) == factorial(n)
 
     def test_mixed_mode_pattern_set(self):
         from forest_patterns import avoids, gen_forests
@@ -120,7 +139,7 @@ class TestBruteCounts:
         expected = sum(
             1 for f in gen_forests(4, FamilyTag.UNORDERED) if avoids(f, pats)
         )
-        assert brute_count(4, FamilyTag.UNORDERED, pats) == expected
+        assert _count(4, FamilyTag.UNORDERED, pats).get(0, 0) == expected
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     @pytest.mark.parametrize("word", ["312", "!213", "2143"])
@@ -129,25 +148,14 @@ class TestBruteCounts:
 
         pats = [pattern(word)]
         expected = sum(1 for f in gen_forests(4, family) if avoids(f, pats))
-        assert brute_count(4, family, pats) == expected
+        assert _count(4, family, pats).get(0, 0) == expected
 
     def test_sweep_matches_individual_counts(self):
         sets = [[pattern(321)], [pattern(231)], [pattern(321), pattern(231)]]
-        swept = sweep_counts(4, FamilyTag.UNORDERED, sets)
-        assert swept == [brute_count(4, FamilyTag.UNORDERED, s) for s in sets]
-
-    def test_jobs_do_not_change_results(self):
-        one = sweep_counts(4, FamilyTag.UNORDERED, [[pattern(321)]], jobs=1)
-        many = sweep_counts(4, FamilyTag.UNORDERED, [[pattern(321)]], jobs=4)
-        assert one == many
-        for family in FamilyTag:
-            sets = [[pattern(w) for w in ws] for ws in OBJECT_ROUTE_SETS]
-            assert sweep_counts(4, family, sets, jobs=3) == sweep_counts(4, family, sets)
-            two = sets[2]
-            for statistic in STATISTICS:
-                assert refined_table(4, family, two, statistic, jobs=3) == refined_table(
-                    4, family, two, statistic
-                )
+        swept = counting.count_sweep({FamilyTag.UNORDERED: 4}, sets)[FamilyTag.UNORDERED]
+        assert [by_n[4].get(0, 0) for by_n in swept] == [
+            _count(4, FamilyTag.UNORDERED, s).get(0, 0) for s in sets
+        ]
 
     def test_uneven_shape_on_five_vertices(self):
         # exactly one shape on [5] has 60 labelings of which 43 avoid 321
@@ -165,22 +173,22 @@ class TestBruteCounts:
 
 class TestRefinedCounts:
     def test_unimodal_single_tree_n2(self):
-        assert refined_count(2, FamilyTag.UNORDERED, [pattern(213), pattern(312)], "trees", 1) == 2
+        assert _count(2, FamilyTag.UNORDERED, [pattern(213), pattern(312)], "trees").get(1, 0) == 2
 
     def test_uni132_all_singletons(self):
         pats = [pattern(312), pattern(213), pattern(132)]
-        assert refined_count(3, FamilyTag.UNORDERED, pats, "trees", 3) == 1
+        assert _count(3, FamilyTag.UNORDERED, pats, "trees").get(3, 0) == 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_maximal_tdm_means_increasing(self, n):
         pats = [pattern(213), pattern(312)]
-        assert refined_count(n, FamilyTag.UNORDERED, pats, "tdm", n) == factorial(n)
+        assert _count(n, FamilyTag.UNORDERED, pats, "tdm").get(n, 0) == factorial(n)
 
     @pytest.mark.parametrize("statistic", ["tdm", "trees"])
     def test_refined_sums_to_unrefined(self, statistic):
         pats = [pattern(321)]
-        table = refined_table(4, FamilyTag.UNORDERED, pats, statistic)
-        assert sum(table.values()) == brute_count(4, FamilyTag.UNORDERED, pats)
+        table = _count(4, FamilyTag.UNORDERED, pats, statistic)
+        assert sum(table.values()) == _count(4, FamilyTag.UNORDERED, pats).get(0, 0)
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     @pytest.mark.parametrize("words", OBJECT_ROUTE_SETS)
@@ -192,12 +200,12 @@ class TestRefinedCounts:
                 if avoids_per_vertex(f, pats):
                     by_trees[len(f.roots)] += 1
                     by_tdm[len(top_down_maxima(f))] += 1
-            assert refined_table(n, family, pats, "trees") == by_trees, n
-            assert refined_table(n, family, pats, "tdm") == by_tdm, n
+            assert _count(n, family, pats, "trees") == by_trees, n
+            assert _count(n, family, pats, "tdm") == by_tdm, n
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
-            refined_table(3, FamilyTag.UNORDERED, [pattern(21)], "leaves")
+            _count(3, FamilyTag.UNORDERED, [pattern(21)], "leaves")
         with pytest.raises(ValueError, match="unknown statistic"):
             counting.count_sweep({FamilyTag.UNORDERED: 3}, [[pattern(21)]], "leaves")
 
@@ -239,14 +247,16 @@ class TestTwoRoutes:
         sets = [[pattern(prefix + w) for w in words] for words in LENGTH_THREE_SETS]
         for n in range(_top_n(family) + 1):
             oracle = [t.get(0, 0) for t in counting._tally(n, family, sets)]
-            assert sweep_counts(n, family, sets) == oracle, n
+            swept = counting.count_sweep({family: n}, sets)[family]
+            assert [by_n[n].get(0, 0) for by_n in swept] == oracle, n
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     def test_mixed_and_longer_sets(self, family):
         sets = [[pattern(w) for w in words] for words in MIXED_AND_LONGER_SETS]
         for n in range(6):
             oracle = [t.get(0, 0) for t in counting._tally(n, family, sets)]
-            assert sweep_counts(n, family, sets) == oracle, n
+            swept = counting.count_sweep({family: n}, sets)[family]
+            assert [by_n[n].get(0, 0) for by_n in swept] == oracle, n
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     @pytest.mark.parametrize("statistic", STATISTICS)
@@ -258,7 +268,7 @@ class TestTwoRoutes:
             pats = [pattern(w) for w in words]
             for n in range(5):
                 oracle = counting._tally(n, family, [pats], statistic)[0]
-                assert refined_table(n, family, pats, statistic) == oracle, (words, n)
+                assert _count(n, family, pats, statistic) == oracle, (words, n)
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     @pytest.mark.parametrize("prefix", ["", "!"], ids=["classical", "consecutive"])
@@ -364,9 +374,10 @@ class TestTwoRoutes:
             raise AssertionError("a count enumerated parent vectors")
 
         monkeypatch.setattr(counting, "iter_parent_vectors", refuse)
-        assert brute_count(7, FamilyTag.UNORDERED, [pattern(321)]) == 123417
-        assert sweep_counts(5, FamilyTag.UNORDERED, [[pattern(321)], [pattern(231)]]) == [918, 917]
-        tdm = refined_table(5, FamilyTag.UNORDERED, [pattern(213), pattern(312)], "tdm")
+        assert _count(7, FamilyTag.UNORDERED, [pattern(321)]).get(0, 0) == 123417
+        swept = counting.count_sweep({FamilyTag.UNORDERED: 5}, [[pattern(321)], [pattern(231)]])
+        assert [by_n[5].get(0, 0) for by_n in swept[FamilyTag.UNORDERED]] == [918, 917]
+        tdm = _count(5, FamilyTag.UNORDERED, [pattern(213), pattern(312)], "tdm")
         assert tdm == {k: factorial(k) * stirling1(5, k) for k in range(1, 6)}
         assert [r["computed"] for r in table_rows("13", 4) if r["n"] == 4][:3] == [304, 304, 304]
         with pytest.raises(AssertionError, match="parent vectors"):
@@ -467,10 +478,10 @@ class TestClassicalCompression:
 
         drop_plan = counting._drop_plan
         monkeypatch.setattr(counting, "_drop_plan", spy)
-        refined_table(7, FamilyTag.UNORDERED, [pattern(312)], "tdm")
+        _count(7, FamilyTag.UNORDERED, [pattern(312)], "tdm")
         assert drops
         drops.clear()
-        brute_count(7, FamilyTag.UNORDERED, [pattern(321), pattern("!213")])
+        _count(7, FamilyTag.UNORDERED, [pattern(321), pattern("!213")])
         assert drops
 
     @pytest.mark.parametrize("family", list(FamilyTag))
@@ -478,15 +489,15 @@ class TestClassicalCompression:
         # the engine's route; the shape- and maxima-preserving bijection
         # avoid312_to_avoid321 is the second
         for n in range(10):
-            tdm = refined_table(n, family, [pattern(312)], "tdm", budget=9)
-            assert tdm == refined_table(n, family, [pattern(321)], "tdm", budget=9), n
+            tdm = _count(n, family, [pattern(312)], "tdm", budget=9)
+            assert tdm == _count(n, family, [pattern(321)], "tdm", budget=9), n
         if family is not FamilyTag.ORDERED:
             for n in range(6):
                 mapped = Counter(
                     len(top_down_maxima(avoid312_to_avoid321(f)))
                     for f in gen_avoiders(n, family, [pattern(312)])
                 )
-                assert mapped == refined_table(n, family, [pattern(321)], "tdm"), n
+                assert mapped == _count(n, family, [pattern(321)], "tdm"), n
 
 
 # Pattern sets whose unordered and binary streams are also checked at n = 6.
@@ -535,15 +546,15 @@ class TestAvoiderStream:
 class TestBudgets:
     def test_default_budget_blocks_large_n(self):
         with pytest.raises(BudgetExceeded):
-            brute_count(9, FamilyTag.UNORDERED, [pattern(21)])
+            _count(9, FamilyTag.UNORDERED, [pattern(21)])
         with pytest.raises(BudgetExceeded):
-            brute_count(7, FamilyTag.ORDERED, [pattern(21)])
+            _count(7, FamilyTag.ORDERED, [pattern(21)])
 
     def test_explicit_budget_argument(self, monkeypatch):
         monkeypatch.setenv("FOREST_PATTERNS_BUDGET", "unordered=3")
         with pytest.raises(BudgetExceeded):
-            brute_count(4, FamilyTag.UNORDERED, [pattern(21)])
-        assert brute_count(4, FamilyTag.UNORDERED, [pattern(21)], budget=4) == 24
+            _count(4, FamilyTag.UNORDERED, [pattern(21)])
+        assert _count(4, FamilyTag.UNORDERED, [pattern(21)], budget=4).get(0, 0) == 24
 
     def test_env_budget_formats(self, monkeypatch):
         monkeypatch.setenv("FOREST_PATTERNS_BUDGET", "5")
@@ -571,7 +582,7 @@ class TestBudgets:
 
         monkeypatch.setattr(counting, "_gap_count", refuse)
         with pytest.raises(ValueError, match="budget must be nonnegative, got -3"):
-            brute_count(0, FamilyTag.UNORDERED, [pattern(321)], budget=-3)
+            _count(0, FamilyTag.UNORDERED, [pattern(321)], budget=-3)
         monkeypatch.setenv("FOREST_PATTERNS_BUDGET", "-2")
         with pytest.raises(ValueError, match="negative budget -2"):
             counting.count_sweep({FamilyTag.UNORDERED: 0}, [[pattern(321)]])
