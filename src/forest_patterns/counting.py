@@ -205,7 +205,7 @@ FORMULA_CLASSES: dict[str, list[tuple[int, ...]]] = {
 DEFAULT_BUDGETS = {
     FamilyTag.UNORDERED: 8,
     FamilyTag.UNORDERED_BINARY: 9,
-    FamilyTag.ORDERED: 6,
+    FamilyTag.ORDERED: 8,
 }
 
 _ENV_BUDGET = "FOREST_PATTERNS_BUDGET"

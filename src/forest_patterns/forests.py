@@ -185,8 +185,14 @@ def from_parents(
     """Build a forest on [n] from a parent map or a parent vector, with
     ``child_order`` as in :class:`Forest`.
 
-    A sequence is read as ``parent[i] = seq[i-1]``.
+    A sequence is read as ``parent[i] = seq[i-1]``.  The first fault
+    found is raised, in this order: ``n`` is not a nonnegative integer;
+    the vertices are not 1..n (a map) or there are not n parents (a
+    sequence); a parent is outside 0..n; then what :class:`Forest`
+    checks.  A valid input is checked once, by :class:`Forest`.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     # dicts, lists and tuples skip the costlier Mapping check
     if isinstance(parent, dict) or (
         not isinstance(parent, (list, tuple)) and isinstance(parent, Mapping)
@@ -195,14 +201,21 @@ def from_parents(
         if sorted(parent) != list(range(1, n + 1)):
             raise ParentOutOfRange(f"vertices must be exactly 1..{n}")
     else:
-        seq = list(parent)
-        if len(seq) != n:
-            raise ParentOutOfRange(f"expected {n} parents, got {len(seq)}")
-        parent = dict(zip(range(1, n + 1), seq))
-    if parent and not (0 <= min(parent.values()) and max(parent.values()) <= n):
-        v, p = next((v, p) for v, p in parent.items() if not 0 <= p <= n)
-        raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}")
-    return Forest(parent, child_order)
+        if not isinstance(parent, (list, tuple)):
+            parent = list(parent)
+        if len(parent) != n:
+            raise ParentOutOfRange(f"expected {n} parents, got {len(parent)}")
+        parent = dict(zip(range(1, n + 1), parent))
+    try:
+        return Forest(parent, child_order)
+    except (ValueError, TypeError):
+        # Only a rejected input is searched for the parent that, out of
+        # range, is the earlier fault.
+        values = parent.values()
+        if values and not (0 <= min(values) and max(values) <= n):
+            v, p = next((v, p) for v, p in parent.items() if not 0 <= p <= n)
+            raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}") from None
+        raise
 
 
 def _leaf_paths(children) -> list[tuple[int, ...]]:

@@ -142,6 +142,8 @@ def iter_parent_vectors(n: int, binary: bool = False) -> Iterator[tuple[int, ...
     ``binary`` caps every vertex, including the virtual root, at two
     children.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return

@@ -101,21 +101,6 @@ def forest_to_text(f: Forest) -> str:
     return vector_to_text(*_vector_of(f, "text"))
 
 
-def _forest_on(
-    n: int, parents: tuple[int, ...], order: dict[int, tuple[int, ...]] | None = None
-) -> Forest:
-    """``from_parents(n, parents, order)``, with the vector checked once:
-    ``Forest`` checks a vector of length ``n``, and only a vector it
-    rejects goes through ``from_parents``, which raises that function's
-    first error."""
-    if len(parents) == n:
-        try:
-            return Forest(dict(zip(range(1, n + 1), parents)), order)
-        except ValueError:
-            pass
-    return from_parents(n, parents, order)
-
-
 def parse_forest(text: str) -> Forest:
     parts = text.strip().split("|")
     if len(parts) not in (2, 3):
@@ -123,7 +108,7 @@ def parse_forest(text: str) -> Forest:
     n = _ints(parts[:1], _FOREST, text)[0]
     parents = _ints(parts[1].split(), _FOREST, text)
     if len(parts) == 2:
-        return _forest_on(n, parents)
+        return from_parents(n, parents)
     chunks = parts[2].split(";")
     try:
         if len(chunks) != n + 1:
@@ -135,7 +120,7 @@ def parse_forest(text: str) -> Forest:
     except ValueError:
         from_parents(n, parents)  # a bad parent vector is the first error
         raise
-    return _forest_on(n, parents, order)
+    return from_parents(n, parents, order)
 
 
 def forest_to_json(f: Forest) -> dict:
@@ -143,27 +128,28 @@ def forest_to_json(f: Forest) -> dict:
 
 
 def forest_from_json(data: dict | str) -> Forest:
+    """The forest of a JSON object with keys ``n``, ``parents`` and
+    ``childOrder``.  A bad parent vector is the first error; then a parent
+    that is not an integer; then the child orders."""
     if isinstance(data, str):
         data = json.loads(data)
-    # A well-formed object is checked once, by Forest; any other goes
-    # through every check below, in order, for its first error.
-    try:
-        n, parents, orders = data["n"], data["parents"], data["childOrder"]
-        if len(parents) == n and (orders is None or len(orders) == n + 1):
-            if orders is not None:
-                orders = {v: tuple(kids) for v, kids in enumerate(orders)}
-            return Forest(dict(zip(range(1, n + 1), parents)), orders)
-    except (KeyError, TypeError, ValueError):
-        pass
     n = _key(data, "n")
-    base = from_parents(n, _key(data, "parents"))
-    child_order = _key(data, "childOrder")
-    if child_order is None:
-        return base
-    if len(child_order) != n + 1:
-        raise ValueError(f"expected {n + 1} child orders, got {len(child_order)}")
-    order = {v: tuple(kids) for v, kids in enumerate(child_order)}
-    return Forest(base.parent, order)
+    parents = _key(data, "parents")
+    try:
+        if isinstance(parents, (list, tuple)):
+            for v, p in enumerate(parents, 1):
+                if type(p) is not int:  # true and 1.0 would pass as 1
+                    raise ValueError(f"parent {p!r} of vertex {v} is not an integer")
+        child_order = _key(data, "childOrder")
+        order = None
+        if child_order is not None:
+            if len(child_order) != n + 1:
+                raise ValueError(f"expected {n + 1} child orders, got {len(child_order)}")
+            order = {v: tuple(kids) for v, kids in enumerate(child_order)}
+    except (ValueError, TypeError):
+        from_parents(n, parents)  # a bad parent vector is the first error
+        raise
+    return from_parents(n, parents, order)
 
 
 # -- cycle decompositions ----------------------------------------------------

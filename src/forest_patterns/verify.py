@@ -2,15 +2,17 @@
 
 Each check yields one row per (n, subject) pair so the CLI can print a
 PASS/FAIL table.  All comparisons are exact.  A check declares what it
-counts: the pattern sets it reads under each statistic, and the largest
-n per family.  ``run_check`` plans the counts of every check it runs
-before any counting: it takes their union, so each pattern set is counted
-once per statistic in every family it is needed in, checks every budget,
-and makes one ``count_sweep`` per statistic and family caps.  The checks
-then read their rows from the shared counts, which are dropped when
-``run_check`` returns.  ``totals`` counts the empty pattern set, that is
-every forest, through the same recursion.  ``run_check(name, max_n)``
-takes nothing else: the rows depend on the check and ``max_n`` alone.
+counts: the pattern sets it reads under each statistic, and the families
+it reads them in, each at every n up to ``max_n``; the budgets alone
+limit n.  ``run_check`` plans the counts of every check it runs before
+any counting: it takes their union, so each pattern set is counted once
+per statistic in every family it is needed in, checks the budget of
+every family it counts, and makes one ``count_sweep`` per statistic and
+family set.  The checks then read their rows from the shared counts,
+which are dropped when ``run_check`` returns.  ``totals`` counts the
+empty pattern set, that is every forest, through the same recursion.
+``run_check(name, max_n)`` takes nothing else: the rows depend on the
+check and ``max_n`` alone.
 """
 from __future__ import annotations
 
@@ -46,23 +48,19 @@ class CheckRow:
 
 # ``count(patterns, statistic=None, family=UNORDERED)``: the avoider weight
 # of a planned set by statistic value (0 when none is asked for), for
-# every n up to the family's cap.
+# every n up to ``max_n``.
 Count = Callable[..., list[dict[int, int]]]
-
-
-def _unordered_caps(max_n: int) -> dict[FamilyTag, int]:
-    return {FamilyTag.UNORDERED: max_n}
 
 
 @dataclass(frozen=True)
 class Check:
     """A named check: its rows, read from the planned counts; the
-    (statistic, pattern set) pairs those rows read; and the largest n per
-    family it reads them at, for a given ``max_n``."""
+    (statistic, pattern set) pairs those rows read; and the families it
+    reads every pair in, each at every n up to ``max_n``."""
 
     rows: Callable[[int, Count], Iterable[CheckRow]]
     sets: tuple[tuple[str | None, Sequence[Pattern]], ...]
-    caps: Callable[[int], dict[FamilyTag, int]] = _unordered_caps
+    families: tuple[FamilyTag, ...] = (FamilyTag.UNORDERED,)
 
 
 def _patterns(words: tuple[int, ...], mode=PatternMode.CLASSICAL) -> list[Pattern]:
@@ -176,44 +174,34 @@ _DUALITY_PAIRS = [
 ]
 
 
-def _duality_caps(max_n: int) -> dict[FamilyTag, int]:
-    return {
-        family: min(max_n, 6) if family is FamilyTag.ORDERED else max_n for family in FamilyTag
-    }
-
-
 def _check_duality(max_n: int, count: Count) -> Iterator[CheckRow]:
     # Complementing every pattern in a set preserves the avoider count,
     # in every family and in both modes.
-    for family, cap in _duality_caps(max_n).items():
+    for family in FamilyTag:
         swept = [
             (subject, count(ps, family=family), count(comp, family=family))
             for subject, ps, comp in _DUALITY_PAIRS
         ]
-        for n in range(1, cap + 1):
+        for n in range(1, max_n + 1):
             for subject, a, b in swept:
                 yield CheckRow(
                     "duality", n, f"{family.value}:{subject}", a[n].get(0, 0), b[n].get(0, 0)
                 )
 
 
-def _totals_caps(max_n: int) -> dict[FamilyTag, int]:
-    return {FamilyTag.UNORDERED: min(max_n, 8), FamilyTag.ORDERED: min(max_n, 6)}
+# (family, subject, the number of forests on [n] in the family)
+_TOTALS = (
+    (FamilyTag.UNORDERED, "unordered=(n+1)^(n-1)", lambda n: (n + 1) ** (n - 1)),
+    (FamilyTag.ORDERED, "ordered=n!*catalan(n)", lambda n: factorial(n) * catalan(n)),
+)
 
 
 def _check_totals(max_n: int, count: Count) -> Iterator[CheckRow]:
     # The empty pattern set: every forest.
-    caps = _totals_caps(max_n)
-    unordered = count([], family=FamilyTag.UNORDERED)
-    for n in range(1, caps[FamilyTag.UNORDERED] + 1):
-        yield CheckRow(
-            "totals", n, "unordered=(n+1)^(n-1)", (n + 1) ** (n - 1), unordered[n].get(0, 0)
-        )
-    ordered = count([], family=FamilyTag.ORDERED)
-    for n in range(1, caps[FamilyTag.ORDERED] + 1):
-        yield CheckRow(
-            "totals", n, "ordered=n!*catalan(n)", factorial(n) * catalan(n), ordered[n].get(0, 0)
-        )
+    for family, subject, size in _TOTALS:
+        every = count([], family=family)
+        for n in range(1, max_n + 1):
+            yield CheckRow("totals", n, subject, size(n), every[n].get(0, 0))
 
 
 CHECKS: dict[str, Check] = {
@@ -226,9 +214,9 @@ CHECKS: dict[str, Check] = {
     "duality": Check(
         _check_duality,
         tuple((None, ps) for _, *pair in _DUALITY_PAIRS for ps in pair),
-        _duality_caps,
+        tuple(FamilyTag),
     ),
-    "totals": Check(_check_totals, ((None, []),), _totals_caps),
+    "totals": Check(_check_totals, ((None, []),), tuple(family for family, *_ in _TOTALS)),
 }
 
 
@@ -242,29 +230,28 @@ def run_check(name: str, max_n: int) -> list[CheckRow]:
             f"unknown theorem {name!r}; valid: {', '.join(sorted(CHECKS) + ['all'])}"
         )
     checks = list(CHECKS.values()) if name == "all" else [CHECKS[name]]
-    # The plan: the largest n per family of each (statistic, atom set).
-    plan: dict[tuple[str | None, frozenset[Pattern]], dict[FamilyTag, int]] = {}
+    # The plan: the families of each (statistic, atom set).
+    plan: dict[tuple[str | None, frozenset[Pattern]], set[FamilyTag]] = {}
     for check in checks:
-        caps = check.caps(max_n)
         for statistic, patterns in check.sets:
-            want = plan.setdefault((statistic, frozenset(patterns)), {})
-            for family, n in caps.items():
-                want[family] = max(want.get(family, 0), n)
+            plan.setdefault((statistic, frozenset(patterns)), set()).update(check.families)
     # Every budget first, so that no set is counted before a later one fails.
-    for want in plan.values():
-        for family, n in want.items():
-            check_budget(n, family)
-    # One sweep per statistic and family caps, so that the families of a
+    planned = set().union(*plan.values())
+    for family in FamilyTag:
+        if family in planned:
+            check_budget(max_n, family)
+    # One sweep per statistic and family set, so that the families of a
     # set share its path memos.
     groups: dict[tuple, list[frozenset[Pattern]]] = {}
-    for (statistic, atoms), want in plan.items():
-        caps_key = tuple((family, want[family]) for family in FamilyTag if family in want)
-        groups.setdefault((statistic, caps_key), []).append(atoms)
+    for (statistic, atoms), families in plan.items():
+        key = tuple(family for family in FamilyTag if family in families)
+        groups.setdefault((statistic, key), []).append(atoms)
     counted: dict[tuple[str | None, frozenset[Pattern]], dict[FamilyTag, list]] = {}
-    for (statistic, caps_key), sets in groups.items():
-        swept = count_sweep(dict(caps_key), [list(atoms) for atoms in sets], statistic)
+    for (statistic, families), sets in groups.items():
+        caps = dict.fromkeys(families, max_n)
+        swept = count_sweep(caps, [list(atoms) for atoms in sets], statistic)
         for i, atoms in enumerate(sets):
-            counted[statistic, atoms] = {family: swept[family][i] for family, _ in caps_key}
+            counted[statistic, atoms] = {family: swept[family][i] for family in families}
 
     def count(patterns, statistic=None, family=FamilyTag.UNORDERED):
         return counted[statistic, frozenset(patterns)][family]

@@ -270,6 +270,7 @@ def test_negative_budget_exits_two_before_counting(monkeypatch, capsys, argv, en
         (["--theorem", "duality", "--max-n", "9"], None, "n=9 exceeds the unordered budget 8"),
         (["--theorem", "all", "--max-n", "6"], "binary=5", "n=6 exceeds the binary budget 5"),
         (["--theorem", "totals", "--max-n", "5"], "unordered=3", "n=5 exceeds the unordered budget 3"),
+        (["--theorem", "duality", "--max-n", "7"], "ordered=6", "n=7 exceeds the ordered budget 6"),
     ],
 )
 def test_verify_checks_every_budget_before_counting(monkeypatch, capsys, argv, env, message):
@@ -322,7 +323,7 @@ def test_verify_output_is_the_same_for_every_jobs():
 # budgets, (n+1)^(n-1) unordered and n!*catalan(n) ordered.
 TOTALS_8 = [
     ("unordered=(n+1)^(n-1)", [1, 3, 16, 125, 1296, 16807, 262144, 4782969]),
-    ("ordered=n!*catalan(n)", [1, 4, 30, 336, 5040, 95040]),
+    ("ordered=n!*catalan(n)", [1, 4, 30, 336, 5040, 95040, 2162160, 57657600]),
 ]
 
 
@@ -334,6 +335,15 @@ def test_verify_totals_rows_are_pinned():
         for subject, sizes in TOTALS_8
         for n, size in enumerate(sizes, 1)
     ]
+
+
+def test_verify_duality_checks_ordered_forests_to_the_budget():
+    code, out = invoke("verify", "--theorem", "duality", "--max-n", "8")
+    lines = out.splitlines()
+    assert code == 0 and all(line.startswith("PASS duality ") for line in lines)
+    for n in (7, 8):
+        # 11 pattern sets, each in both modes
+        assert sum(f" n={n} ordered:" in line for line in lines) == 22
 
 
 # SHA-256 of `verify --theorem all --max-n 5` stdout (475 rows); a change to
@@ -513,6 +523,26 @@ def test_map_rejects_wrong_input(bijection, payload, capsys):
     code, out = invoke("map", "--bijection", bijection, "--input", payload)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"kind":"forest","n":-1,"parents":[],"childOrder":null}',
+         "n must be a nonnegative integer, got -1"),
+        ('{"kind":"forest","n":"2","parents":[0,1],"childOrder":null}',
+         "n must be a nonnegative integer, got '2'"),
+        ('{"kind":"forest","n":2,"parents":[0,true],"childOrder":null}',
+         "parent True of vertex 2 is not an integer"),
+        ('{"kind":"forest","n":2,"parents":[0,1.0],"childOrder":null}',
+         "parent 1.0 of vertex 2 is not an integer"),
+        ("-1|", "n must be a nonnegative integer, got -1"),
+    ],
+)
+def test_map_names_a_bad_n_or_a_non_integer_parent(payload, message, capsys):
+    code, out = invoke("map", "--bijection", "alpha", "--inverse", f"--input={payload}")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_map_rejects_child_orders_of_non_vertices(capsys):

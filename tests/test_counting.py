@@ -548,7 +548,7 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded):
             _count(9, FamilyTag.UNORDERED, [pattern(21)])
         with pytest.raises(BudgetExceeded):
-            _count(7, FamilyTag.ORDERED, [pattern(21)])
+            _count(9, FamilyTag.ORDERED, [pattern(21)])
 
     def test_explicit_budget_argument(self, monkeypatch):
         monkeypatch.setenv("FOREST_PATTERNS_BUDGET", "unordered=3")

@@ -35,6 +35,16 @@ class TestForestStreams:
         for family in FamilyTag:
             assert len(list(gen_forests(0, family))) == 1
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_negative_n_yields_no_parent_vector(self, binary):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            next(iter_parent_vectors(-1, binary))
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    def test_negative_n_has_no_forest_count(self, family):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            count_forests(-1, family)
+
     @pytest.mark.parametrize("n", range(0, 7))
     def test_unordered_total(self, n):
         assert count_forests(n, FamilyTag.UNORDERED) == (n + 1) ** max(n - 1, 0)

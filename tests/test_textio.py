@@ -3,8 +3,13 @@ import json
 import pytest
 from hypothesis import given
 
-from forest_patterns import CycleDecomposition, Forest, Permutation, textio
-from forest_patterns.forests import CycleDetected, InvalidChildOrder, ParentOutOfRange
+from forest_patterns import CycleDecomposition, Forest, Permutation
+from forest_patterns.forests import (
+    CycleDetected,
+    InvalidChildOrder,
+    ParentOutOfRange,
+    from_parents,
+)
 from forest_patterns.generate import (
     Composition,
     ListPartition,
@@ -123,15 +128,44 @@ def test_forest_json_reports_a_bad_parent_vector_first(data, error, message):
 
 
 def test_a_good_forest_line_is_checked_once(monkeypatch):
-    """Only Forest checks a well-formed line; from_parents sees bad ones."""
+    """A well-formed text or JSON line builds one Forest, plain or ordered."""
+    built = []
+    init = Forest.__init__
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("checked twice")
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(textio, "from_parents", refuse)
     for f in (Forest({1: 0, 2: 1, 3: 1}), Forest({1: 0, 2: 0}, {0: (2, 1), 1: (), 2: ()})):
-        assert parse_forest(forest_to_text(f)) == f
-        assert forest_from_json(forest_to_json(f)) == f
+        text, data = forest_to_text(f), forest_to_json(f)
+        monkeypatch.setattr(Forest, "__init__", counted)
+        assert parse_forest(text) == f
+        assert forest_from_json(data) == f
+        assert forest_from_json(json.dumps(data)) == f
+        monkeypatch.undo()
+        assert len(built) == 3
+        built.clear()
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: from_parents(-1, []), "n must be a nonnegative integer, got -1"),
+        (lambda: parse_forest("-1|"), "n must be a nonnegative integer, got -1"),
+        (lambda: forest_from_json({"n": -1, "parents": []}),
+         "n must be a nonnegative integer, got -1"),
+        (lambda: forest_from_json({"n": "2", "parents": [0, 1]}),
+         "n must be a nonnegative integer, got '2'"),
+        (lambda: forest_from_json('{"n": 2, "parents": [0, true], "childOrder": null}'),
+         "parent True of vertex 2 is not an integer"),
+        (lambda: forest_from_json('{"n": 2, "parents": [0, 1.0], "childOrder": null}'),
+         "parent 1.0 of vertex 2 is not an integer"),
+    ],
+)
+def test_a_bad_n_or_a_non_integer_parent_is_named(read, message):
+    with pytest.raises(ValueError) as err:
+        read()
+    assert str(err.value) == message
 
 
 def test_forest_json_needs_one_child_order_per_vertex_and_root():
