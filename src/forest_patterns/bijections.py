@@ -5,14 +5,18 @@ partitions, cycle decompositions, partitions into lists) onto a forest
 avoidance class, and each is checked in the test suite by exhaustive
 round trips and image comparisons on small ground sets.
 
-The unimodal maps (``theta``, ``xi``, ``gamma``) share one decomposition:
-a forest avoiding {213, 312} is an increasing skeleton of top-down maxima
-with a decreasing group hung below each maximum.  Both directions work
+The unimodal maps (``theta``, ``xi``, ``gamma``) and the ordered-lists
+map (``psi``) share one decomposition: a forest is an increasing skeleton,
+the vertices whose root path increases, with a group hung below each
+skeleton vertex.  In a unimodal forest the skeleton is the top-down
+maxima and each group is decreasing; in a forest avoiding
+{321, 2143, 3142} each skeleton vertex with its group is a tree with a
+proper descent at the root and no other descents.  Both directions work
 on parent maps: ``_join`` adds the groups' parent maps to the skeleton's
-and validates one ``Forest``, and ``_split`` reads each maximum and its
-group's cycle straight off the forest's child lists in one DFS, so no
-skeleton or group forest is built.  The maps differ only in how they
-encode the skeleton and the groups.
+and validates one ``Forest``, and ``_split`` reads each skeleton vertex
+and its group's word straight off the forest's child lists in one DFS,
+so no skeleton or group forest is built.  The maps differ only in how
+they encode the skeleton and the groups.
 
 Inverse maps marked "derived" below (for the partitioned-cycle, ordered-
 partition and ordered-lists maps) read the structure back off the forest
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .forests import (
     DescentKind,
@@ -77,16 +81,17 @@ _PSI_CLASS = (pattern(321), pattern(2143), pattern(3142))
 # permutations <-> increasing / decreasing forests
 
 
-def _rightmost_earlier_smaller(word: Sequence[int]) -> dict[int, int]:
+def _rightmost_earlier_smaller(word: Sequence[int], root: int = 0) -> dict[int, int]:
     """For each entry of ``word``, in word order, the rightmost earlier
-    entry smaller than it, or 0 if there is none: one pass over a stack
-    of the entries that can still be the answer (increasing upwards)."""
+    entry smaller than it, or ``root`` if there is none: one pass over a
+    stack of the entries that can still be the answer (increasing
+    upwards)."""
     parent: dict[int, int] = {}
     stack: list[int] = []
     for v in word:
         while stack and stack[-1] > v:
             stack.pop()
-        parent[v] = stack[-1] if stack else 0
+        parent[v] = stack[-1] if stack else root
         stack.append(v)
     return parent
 
@@ -156,7 +161,7 @@ def decreasing_forest_to_perm(f: Forest) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# the unimodal decomposition: a skeleton of top-down maxima and their groups
+# the shared decomposition: an increasing skeleton and the groups below it
 
 
 def _join(top: dict[int, int], groups: Iterable[Mapping[int, int]]) -> Forest:
@@ -168,23 +173,26 @@ def _join(top: dict[int, int], groups: Iterable[Mapping[int, int]]) -> Forest:
     return Forest(top)
 
 
-def _split(f: Forest) -> list[tuple[int, ...]]:
-    """The cycles of a unimodal forest, read off its child lists: one per
-    top-down maximum ``m``, in the clockwise order of the skeleton (the
-    increasing subforest on the maxima), each ``m`` followed by the word
-    :func:`_decreasing_word` reads off the group hung below it.  In a
-    unimodal forest the maxima form a subforest, a child of a maximum is
-    a maximum exactly when it is larger, and the smaller children root
-    the group, so one DFS through the maxima finds every cycle."""
-    cycles: list[tuple[int, ...]] = []
+def _split(
+    f: Forest, read: Callable[[Forest, Sequence[int]], list[int]]
+) -> list[tuple[int, ...]]:
+    """The skeleton vertices of ``f`` and their groups, read off its child
+    lists: one tuple per skeleton vertex ``m``, in the clockwise order of
+    the skeleton, each ``m`` followed by the word ``read`` takes off the
+    roots (ascending) of the group hung below it.  The skeleton is the
+    vertices whose root path increases; in a unimodal forest these are
+    the top-down maxima.  A child of a skeleton vertex is in the skeleton
+    exactly when it is larger, and the smaller children root the group,
+    so one DFS through the skeleton finds every group."""
+    words: list[tuple[int, ...]] = []
     stack = list(f.roots)  # ascending; popping yields largest first
     while stack:
         m = stack.pop()
         kids = f.children(m)
         cut = bisect_right(kids, m)
-        cycles.append((m, *_decreasing_word(f, kids[:cut])))
+        words.append((m, *read(f, kids[:cut])))
         stack.extend(kids[cut:])
-    return cycles
+    return words
 
 
 def _cycle_group(cycle: Sequence[int]) -> dict[int, int]:
@@ -226,7 +234,7 @@ def unimodal_forest_to_cycles(f: Forest) -> CycleDecomposition:
     """Inverse of :func:`cycles_to_unimodal_forest`."""
     if _has_valley(f):
         raise NotUnimodal("forest contains 213 or 312 along a path")
-    return CycleDecomposition(_split(f))
+    return CycleDecomposition(_split(f, _decreasing_word))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ def forest_to_partitioned_cycles(f: Forest) -> CycleDecomposition:
     """Derived inverse of :func:`partitioned_cycles_to_forest`."""
     if not avoids(f, _XI_CLASS):
         raise NotInClass("forest contains 213, 312 or 123 along a path")
-    cycles = sorted(_split(f))  # by maximum
+    cycles = sorted(_split(f, _decreasing_word))  # by maximum
     index_of_max = {c[0]: i for i, c in enumerate(cycles)}
     # The skeleton has height <= 2: each root with its larger children.
     blocks = [
@@ -304,7 +312,7 @@ def forest_to_ordered_partition(f: Forest) -> OrderedSetPartition:
     is a maximum with its group."""
     if not avoids(f, _GAMMA_CLASS):
         raise NotInClass("forest contains 213, 312 or 321 along a path")
-    return OrderedSetPartition(_split(f))
+    return OrderedSetPartition(_split(f, _decreasing_word))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +390,15 @@ def forest_to_list_partition(f: Forest) -> ListPartition:
 # permutations with 2 before 1 <-> trees with a proper descent at the root
 
 
+def _descent_group(word: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """The root of the proper-descent tree of ``word`` (the inverse word's
+    first entry) and the parent map of its other vertices: the increasing
+    forest of the rest of the inverse word, its roots hung below the
+    root."""
+    iw = inverse(Permutation(word)).word
+    return iw[0], _rightmost_earlier_smaller(iw[1:], iw[0])
+
+
 def perm_to_proper_descent_tree(p: Permutation) -> Forest:
     """Tree with a proper descent at the root and no other descents.
 
@@ -399,14 +416,8 @@ def perm_to_proper_descent_tree(p: Permutation) -> Forest:
         raise TwoAfterOne(
             f"second-smallest entry {g[1]} must precede smallest {g[0]} in {w}"
         )
-    iw = inverse(p).word
-    f0 = perm_to_increasing_forest(Permutation(iw))
-    root = iw[0]
-    parent = dict(f0.parent)
-    for r in f0.roots:
-        if r != root:
-            parent[r] = root
-    return Forest(parent)
+    root, group = _descent_group(w)
+    return Forest({root: 0, **group})
 
 
 def proper_descent_tree_to_perm(f: Forest) -> Permutation:
@@ -429,64 +440,24 @@ def proper_descent_tree_to_perm(f: Forest) -> Permutation:
 
 def ordered_lists_to_forest(lp: ListPartition) -> Forest:
     """Forest avoiding {321, 2143, 3142} from an ordered partition into
-    lists up to reverse: singleton blocks give singleton trees, longer
-    blocks go through the proper-descent-tree map, and the tree roots, in
-    block order, arrange into an increasing subforest."""
+    lists up to reverse: each block goes through the proper-descent-tree
+    map (a singleton block is a lone root), and the tree roots, in block
+    order, arrange into an increasing skeleton."""
     if not (lp.ordered_blocks and lp.up_to_reverse):
         raise ValueError("expected an ordered partition into lists up to reverse")
-    parent: dict[int, int] = {}
-    roots_in_order: list[int] = []
-    for block in lp.blocks:
-        if len(block) == 1:
-            parent[block[0]] = 0
-            roots_in_order.append(block[0])
-        else:
-            t = perm_to_proper_descent_tree(Permutation(block))
-            parent.update(t.parent)
-            roots_in_order.append(t.roots[0])
-    inc = perm_to_increasing_forest(Permutation(roots_in_order))
-    parent.update(inc.parent)
-    return Forest(parent)
-
-
-def _hanging_groups(f: Forest, tops: AbstractSet[int]) -> dict[int, dict[int, int]]:
-    """For each vertex of ``tops``, the parent map of the other vertices
-    whose nearest ``tops`` ancestor it is, with 0 for a parent in ``tops``;
-    every root must be in ``tops``."""
-    groups: dict[int, dict[int, int]] = {m: {} for m in tops}
-    for v in f.labels:
-        if v in tops:
-            continue
-        p = f.parent[v]
-        m = p
-        while m not in tops:
-            m = f.parent[m]
-        groups[m][v] = p if p not in tops else 0
-    return groups
+    trees = [_descent_group(block) for block in lp.blocks]
+    top = _rightmost_earlier_smaller([root for root, _ in trees])
+    return _join(top, (group for _, group in trees))
 
 
 def forest_to_ordered_lists(f: Forest) -> ListPartition:
-    """Derived inverse of :func:`ordered_lists_to_forest`.
-
-    Block roots are recovered as the vertices whose root path is strictly
-    increasing (top-down maxima deeper inside a block do not qualify).
-    """
+    """Derived inverse of :func:`ordered_lists_to_forest`: each block is a
+    skeleton vertex with its group, read as by
+    :func:`proper_descent_tree_to_perm`.  The skeleton vertices are the
+    block roots (top-down maxima deeper inside a block do not qualify)."""
     if not avoids(f, _PSI_CLASS):
         raise NotInClass("forest contains 321, 2143 or 3142 along a path")
-    rising: dict[int, int] = {}  # maxima whose parent is 0 or rising -> parent
-    for v in sorted(top_down_maxima(f)):
-        p = f.parent[v]
-        if p == 0 or p in rising:
-            rising[v] = p
-    word = increasing_forest_to_perm(Forest(rising)).word
-    groups = _hanging_groups(f, rising.keys())
-    blocks = []
-    for b in word:
-        if not groups[b]:
-            blocks.append((b,))
-        else:
-            tree = {b: 0, **{v: p or b for v, p in groups[b].items()}}
-            blocks.append(proper_descent_tree_to_perm(Forest(tree)).word)
+    blocks = [inverse(Permutation(c)).word for c in _split(f, _clockwise)]
     return ListPartition(blocks, ordered_blocks=True, up_to_reverse=True)
 
 

@@ -188,8 +188,9 @@ def from_parents(
     A sequence is read as ``parent[i] = seq[i-1]``.  The first fault
     found is raised, in this order: ``n`` is not a nonnegative integer;
     the vertices are not 1..n (a map) or there are not n parents (a
-    sequence); a parent is outside 0..n; then what :class:`Forest`
-    checks.  A valid input is checked once, by :class:`Forest`.
+    sequence); the first parent that is not an integer or is outside
+    0..n; then what :class:`Forest` checks.  A valid input is checked
+    once, by :class:`Forest`.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
@@ -209,12 +210,13 @@ def from_parents(
     try:
         return Forest(parent, child_order)
     except (ValueError, TypeError):
-        # Only a rejected input is searched for the parent that, out of
-        # range, is the earlier fault.
-        values = parent.values()
-        if values and not (0 <= min(values) and max(values) <= n):
-            v, p = next((v, p) for v, p in parent.items() if not 0 <= p <= n)
-            raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}") from None
+        # Only a rejected input is searched for the parent that, not an
+        # integer or out of range, is the earlier fault.
+        for v, p in parent.items():
+            if not isinstance(p, int):
+                raise ValueError(f"parent {p!r} of vertex {v} is not an integer") from None
+            if not 0 <= p <= n:
+                raise ParentOutOfRange(f"parent {p} of vertex {v} out of range 0..{n}") from None
         raise
 
 

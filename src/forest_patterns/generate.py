@@ -301,15 +301,9 @@ def gen_compositions(n: int, k: int | None = None) -> Iterator[Composition]:
 
 
 def _orderings(block: Sequence[int], up_to_reverse: bool) -> Iterator[tuple[int, ...]]:
-    if len(block) == 1:
-        yield tuple(block)
-        return
-    lo = min(block)
-    second = min(x for x in block if x != lo)
     for perm in itertools.permutations(sorted(block)):
-        if up_to_reverse and perm.index(second) > perm.index(lo):
-            continue
-        yield perm
+        if not up_to_reverse or _canonical_up_to_reverse(perm) == perm:
+            yield perm
 
 
 def gen_list_partitions(

@@ -130,7 +130,8 @@ def forest_to_json(f: Forest) -> dict:
 def forest_from_json(data: dict | str) -> Forest:
     """The forest of a JSON object with keys ``n``, ``parents`` and
     ``childOrder``.  A bad parent vector is the first error; then a parent
-    that is not an integer; then the child orders."""
+    that is not an integer; then the child orders, ``null`` or a list of
+    n + 1 lists of integers."""
     if isinstance(data, str):
         data = json.loads(data)
     n = _key(data, "n")
@@ -143,8 +144,13 @@ def forest_from_json(data: dict | str) -> Forest:
         child_order = _key(data, "childOrder")
         order = None
         if child_order is not None:
+            if not isinstance(child_order, (list, tuple)):
+                raise ValueError(f"childOrder must be null or a list, got {child_order!r}")
             if len(child_order) != n + 1:
                 raise ValueError(f"expected {n + 1} child orders, got {len(child_order)}")
+            for v, kids in enumerate(child_order):
+                if not isinstance(kids, (list, tuple)) or any(type(c) is not int for c in kids):
+                    raise ValueError(f"child order {kids!r} of vertex {v} is not a list of integers")
             order = {v: tuple(kids) for v, kids in enumerate(child_order)}
     except (ValueError, TypeError):
         from_parents(n, parents)  # a bad parent vector is the first error

@@ -372,7 +372,7 @@ class TestProperDescentTreeMap:
         with pytest.raises(TwoAfterOne):
             perm_to_proper_descent_tree(Permutation([3]))
 
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_bijection_with_proper_descent_trees(self, n):
         domain = [
             Permutation(w)
@@ -426,6 +426,35 @@ class TestOrderedListsMap:
         assert avoids(f, [pattern(321), pattern(2143), pattern(3142)])
         assert forest_to_ordered_lists(f) == lp
 
+    def test_each_map_builds_one_forest_at_most(self, monkeypatch):
+        """psi joins one parent map, psi inverse splits the forest it is
+        given, and rho hangs the inverse word's roots in one parent map."""
+        lp = ListPartition(
+            [(5,), (14, 13), (7,), (4,), (15,), (12, 3, 11, 2, 9, 8), (6, 1), (10,)],
+            ordered_blocks=True,
+            up_to_reverse=True,
+        )
+        f = ordered_lists_to_forest(lp)
+        p = Permutation([12, 3, 11, 2, 9, 8])
+        built = []
+        init = Forest.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Forest, "__init__", counted)
+        counts = []
+        for call, arg in (
+            (ordered_lists_to_forest, lp),
+            (forest_to_ordered_lists, f),
+            (perm_to_proper_descent_tree, p),
+        ):
+            call(arg)
+            counts.append(len(built))
+            built.clear()
+        assert counts == [1, 0, 1]
+
     def test_all_singletons_reduce_to_increasing_forest_map(self):
         lp = ListPartition(
             [(3,), (1,), (2,)], ordered_blocks=True, up_to_reverse=True
@@ -437,7 +466,7 @@ class TestOrderedListsMap:
     def test_image_count_n3(self):
         assert len(forests_avoiding(3, [321, 2143, 3142])) == 15
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_round_trip_and_image(self, n):
         image = set()
         for lp in gen_list_partitions(n, ordered_blocks=True, up_to_reverse=True):

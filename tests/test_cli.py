@@ -536,6 +536,14 @@ def test_map_rejects_wrong_input(bijection, payload, capsys):
          "parent True of vertex 2 is not an integer"),
         ('{"kind":"forest","n":2,"parents":[0,1.0],"childOrder":null}',
          "parent 1.0 of vertex 2 is not an integer"),
+        ('{"kind":"forest","n":2,"parents":[0,"a"],"childOrder":null}',
+         "parent 'a' of vertex 2 is not an integer"),
+        ('{"kind":"forest","n":2,"parents":[0,null],"childOrder":null}',
+         "parent None of vertex 2 is not an integer"),
+        ('{"kind":"forest","n":2,"parents":[0,1],"childOrder":[[1.0],[2],[]]}',
+         "child order [1.0] of vertex 0 is not a list of integers"),
+        ('{"kind":"forest","n":2,"parents":[0,1],"childOrder":5}',
+         "childOrder must be null or a list, got 5"),
         ("-1|", "n must be a nonnegative integer, got -1"),
     ],
 )

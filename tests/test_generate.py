@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -140,6 +140,14 @@ class TestListPartitions:
             factorial(n) // factorial(k) * binom(n - 1, k - 1) for k in range(1, n + 1)
         )
         assert len(list(gen_list_partitions(n))) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_up_to_reverse_halves_each_longer_block(self, n):
+        expected = sum(
+            prod(max(1, factorial(len(b)) // 2) for b in sp.blocks)
+            for sp in gen_set_partitions(n)
+        )
+        assert len(list(gen_list_partitions(n, up_to_reverse=True))) == expected
 
     def test_ordered_up_to_reverse_count_small(self):
         assert len(list(gen_list_partitions(3, ordered_blocks=True, up_to_reverse=True))) == 15

@@ -160,6 +160,16 @@ def test_a_good_forest_line_is_checked_once(monkeypatch):
          "parent True of vertex 2 is not an integer"),
         (lambda: forest_from_json('{"n": 2, "parents": [0, 1.0], "childOrder": null}'),
          "parent 1.0 of vertex 2 is not an integer"),
+        (lambda: forest_from_json('{"n": 2, "parents": [0, "a"], "childOrder": null}'),
+         "parent 'a' of vertex 2 is not an integer"),
+        (lambda: forest_from_json('{"n": 2, "parents": [0, null], "childOrder": null}'),
+         "parent None of vertex 2 is not an integer"),
+        (lambda: forest_from_json('{"n": 2, "parents": [0, [1]], "childOrder": null}'),
+         "parent [1] of vertex 2 is not an integer"),
+        (lambda: from_parents(2, [0, "a"]), "parent 'a' of vertex 2 is not an integer"),
+        (lambda: from_parents(2, [0, None]), "parent None of vertex 2 is not an integer"),
+        (lambda: from_parents(2, [0, [1]]), "parent [1] of vertex 2 is not an integer"),
+        (lambda: from_parents(3, [5, "a", 0]), "parent 5 of vertex 1 out of range 0..3"),
     ],
 )
 def test_a_bad_n_or_a_non_integer_parent_is_named(read, message):
@@ -172,6 +182,26 @@ def test_forest_json_needs_one_child_order_per_vertex_and_root():
     for orders in ([[1], [], [5, 6]], [[1]]):
         with pytest.raises(ValueError, match=f"expected 2 child orders, got {len(orders)}"):
             forest_from_json({"n": 1, "parents": [0], "childOrder": orders})
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ("[[1.0], [2], []]", "child order [1.0] of vertex 0 is not a list of integers"),
+        ("[[true], [2], []]", "child order [True] of vertex 0 is not a list of integers"),
+        ("[[1], [2.0], []]", "child order [2.0] of vertex 1 is not a list of integers"),
+        ("[[1], [2], 3]", "child order 3 of vertex 2 is not a list of integers"),
+        ("5", "childOrder must be null or a list, got 5"),
+        ('"ab"', "childOrder must be null or a list, got 'ab'"),
+    ],
+)
+def test_forest_json_child_orders_are_lists_of_integers(orders, message):
+    with pytest.raises(ValueError) as err:
+        forest_from_json(f'{{"n": 2, "parents": [0, 1], "childOrder": {orders}}}')
+    assert str(err.value) == message
+    # a bad parent vector is still the first error
+    with pytest.raises(ParentOutOfRange, match="parent 5 of vertex 2 out of range 0..2"):
+        forest_from_json(f'{{"n": 2, "parents": [0, 5], "childOrder": {orders}}}')
 
 
 def test_cycles_round_trip():
