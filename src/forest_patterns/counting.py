@@ -22,12 +22,13 @@ across calls.  One rule (``_needless``) decides what a path keeps, for
 every mix of patterns and every statistic: the values of the undominated
 prefix occurrences of the classical patterns, the last k - 1 values for
 consecutive patterns of length up to k, and, for the top-down maxima,
-the path maximum.  The number of trees
-is tracked where the family needs it (binary nodes take at most two
-children, ordered nodes weigh t trees by t!), and the refined counts key
-each forest by its trees or top-down maxima.  ``count_sweep`` is the one
-counting entry: a plain count, a refined table, many sets and many n are
-all read from its result.
+the path maximum.  A state with a label in a dead gap, where the path
+grown by that label hits a classical atom, weighs zero and is never
+expanded.  The number of trees is tracked where the family needs it
+(binary nodes take at most two children, ordered nodes weigh t trees by
+t!), and the refined counts key each forest by its trees or top-down
+maxima.  ``count_sweep`` is the one counting entry: a plain count, a
+refined table, many sets and many n are all read from its result.
 
 The parent-vector tally (``_tally``) enumerates every forest instead; no
 command uses it, and the tests keep it as the independent oracle of the
@@ -529,14 +530,16 @@ class _Memos:
 
 
 class _PathMemos(_Memos):
-    """What the recursion learns from a root path alone: the path grown by
-    a root in each gap (empty when it hits an atom), the occurrences in it
-    of the classical atoms' prefixes, and its drop plan (``_drop_plan`` of
-    the ``_needless`` values, empty when none are), keyed by the path and
-    its capped gaps, or by the path alone when no atom is classical; each
-    plan is ``built`` once per path and dropped values.  None of it depends
-    on the family, so the families of one sweep share one instance per
-    pattern set."""
+    """What the recursion learns from a root path alone: one ``grown``
+    entry per path, with the path grown by a root in each gap (empty when
+    it hits an atom) and the mask of its dead gaps (where it hits a
+    classical atom), from one pass of containment tests; the occurrences
+    in it of the classical atoms' prefixes; and its drop plan
+    (``_drop_plan`` of the ``_needless`` values, empty when none are),
+    keyed by the path and its capped gaps, or by the path alone when no
+    atom is classical; each plan is ``built`` once per path and dropped
+    values.  None of it depends on the family, so the families of one
+    sweep share one instance per pattern set."""
 
     __slots__ = ("grown", "occurrences", "plans", "built")
 
@@ -591,6 +594,14 @@ def _gap_count(
     ``P·r`` contains an atom), and the subtrees of the root form the
     forest of the state with path ``P·r`` and gap ``i`` split into ``j``
     and ``c[i] - 1 - j``.  The other trees form ``(P, g - c)``.
+
+    Gap ``i`` of ``P`` is dead when ``P`` grown by a label in it contains
+    a classical atom.  Every label of that gap, at any depth, lies on a
+    root path that holds that grown path as a subsequence, so a state
+    with a nonempty dead gap has weight zero: ``tree`` never builds one.
+    Only classical atoms mark a gap dead.  A consecutive atom that the
+    grown path hits can miss every deeper label of the gap, since a
+    vertex between the root and that label breaks the run.
 
     Entry n reads the state ``((), (n,))``; the recursion from the largest
     of them passes through all the others, so one call answers every n.
@@ -656,6 +667,23 @@ def _gap_count(
                 acc[s] += weight * arrangements[t]
         return _packed(acc)
 
+    def grow(path: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The entry of ``path`` in ``grown``: the path grown by a root in
+        each gap, ``()`` when that hits an atom, and the mask of the gaps
+        where it hits a classical atom."""
+        ups = []
+        dead = 0
+        for i in range(len(path) + 1):
+            up = tuple(v + (v > i) for v in path) + (i + 1,)
+            if any(word_contains_classical(up, w) for w in words):
+                dead |= 1 << i
+                up = ()
+            elif any(word_contains_consecutive(up[-len(w) :], w) for w in runs):
+                up = ()
+            ups.append(up)
+        out = grown[path] = (tuple(ups), dead)
+        return out
+
     def tree(path: tuple[int, ...], counts: tuple[int, ...]) -> tuple[int, ...]:
         """Trees below ``path`` whose labels fill its gaps as ``counts``."""
         key = (path, counts)
@@ -663,23 +691,27 @@ def _gap_count(
         if out is not None:
             return out
         acc = [0] * base
+        ups = (grown.get(path) or grow(path))[0]
+        nonempty = sum(1 << i for i, size in enumerate(counts) if size) if words else 0
         for i, size in enumerate(counts):
-            if not size:
+            up = ups[i]
+            if not size or not up:
                 continue
-            at = (path, i)
-            up = grown.get(at)
-            if up is None:
-                up = tuple(v + (v > i) for v in path) + (i + 1,)
-                if any(word_contains_classical(up, w) for w in words) or any(
-                    word_contains_consecutive(up[-len(w) :], w) for w in runs
-                ):
-                    up = ()
-                grown[at] = up
-            if not up:
-                continue
+            lo, hi = 0, size  # the labels of gap i below the root: j in range(lo, hi)
+            if words:
+                dead = (grown.get(up) or grow(up))[1]
+                if dead:
+                    # gap i of ``path`` splits into gaps i and i + 1 of ``up``
+                    others = (nonempty & ((1 << i) - 1)) | (nonempty >> (i + 1)) << (i + 2)
+                    if dead & others:
+                        continue
+                    if dead >> i & 1:
+                        hi = 1  # nothing below the root
+                    if dead >> (i + 1) & 1:
+                        lo = size - 1  # nothing above it
             lift = 1 if tdm and i == len(path) else 0
             head, tail = counts[:i], counts[i + 1 :]
-            for j in range(size):
+            for j in range(lo, hi):
                 for s, weight in enumerate(below(up, head + (j, size - 1 - j) + tail)):
                     acc[s + lift] += weight
         out = trees[key] = _packed(acc)

@@ -1,7 +1,7 @@
 import inspect
 from collections import Counter
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -498,6 +498,50 @@ class TestClassicalCompression:
                     for f in gen_avoiders(n, family, [pattern(312)])
                 )
                 assert mapped == _count(n, family, [pattern(321)], "tdm"), n
+
+
+def _grown(path, i):
+    """``path`` grown by a value in its gap ``i``."""
+    return tuple(v + (v > i) for v in path) + (i + 1,)
+
+
+class TestDeadGaps:
+    """A state with a label in a gap where the grown path hits a classical
+    atom weighs zero, and the recursion never expands it."""
+
+    @pytest.mark.parametrize("words", [("213", "312"), ("2143",), ("321", "2143", "3142")], ids="-".join)
+    def test_no_zero_state_is_expanded(self, words):
+        atoms, _ = counting._compile_sets([[pattern(w) for w in words]])
+        paths, tables = counting._PathMemos(), counting._GapTables()
+        counting._gap_count(8, FamilyTag.UNORDERED, atoms, None, paths, tables)
+        # every state that reached ``below`` left a drop plan keyed by its
+        # path and capped gaps; none of its nonempty gaps is dead
+        assert paths.plans
+        for path, gaps in paths.plans:
+            for i, size in enumerate(gaps):
+                dead = any(word_contains_classical(_grown(path, i), w) for w, _ in atoms)
+                assert not (size and dead), (path, gaps, i)
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("statistic", [None, *STATISTICS], ids=["plain", *STATISTICS])
+    def test_a_consecutive_atom_never_marks_a_gap_dead(self, family, statistic):
+        # Under !132 the root path 1 3 takes no child in its middle gap, yet
+        # a label there can still sit deeper, below a 4.
+        sets = [[pattern(w) for w in words] for words in [("!132", "4321"), ("!132", "2143"), ("!231", "123")]]
+        top = 5 if family is FamilyTag.ORDERED else 6
+        swept = counting.count_sweep({family: top}, sets, statistic, budget=top)[family]
+        for n in range(top + 1):
+            oracle = [counting._tally(n, family, [s], statistic)[0] for s in sets]
+            assert [by_n[n] for by_n in swept] == oracle, n
+
+    def test_reach_of_two_closed_forms(self):
+        n = 20
+        lah = sum(comb(n - 1, k - 1) * factorial(n) // factorial(k) for k in range(1, n + 1))
+        assert lah == 327697927886085654441
+        lah_class = [pattern(w) for w in ("312", "213", "132")]
+        assert _count(n, FamilyTag.UNORDERED, lah_class, budget=n) == {0: lah}
+        unimodal = _count(13, FamilyTag.UNORDERED, [pattern(213), pattern(312)], budget=13)
+        assert unimodal == {0: formula("unimodal", 13)}
 
 
 # Pattern sets whose unordered and binary streams are also checked at n = 6.
