@@ -9,26 +9,29 @@ transcribed wrong and raises :class:`InternalNonInteger`.
 Avoider counts come from the gap-state recursion (``_gap_count``).
 Avoidance depends only on the relative order of each root path and of the
 labels still to place, so a state is a standardized root path plus the
-number of labels left in each gap between its values.  Splitting off the
-tree that holds the smallest label gives a recursion over a few hundred
-to a few thousand states per pattern set.  The forest of the state
-``((), (n,))`` recurses into ``((), (n - c,))``, so one recursion answers
-every n up to the largest asked for; ``count_sweep`` runs one per pattern
-set and family.  The families of a sweep share the set's path memos
-(grown paths, prefix occurrences, drop plans), which depend on the
-patterns alone, and every set and family shares the split tables
-(``_GapTables``), which depend on gap counts alone.  Nothing is memoized
-across calls.  One rule (``_needless``) decides what a path keeps, for
-every mix of patterns and every statistic: the values of the undominated
+number of labels left in each gap between its values.  Splitting off one
+tree (the first of an ordered forest, else the one that holds the
+smallest label) gives a recursion over a few hundred to a few thousand
+states per pattern set.  The forest of the state ``((), (n,))`` recurses
+into ``((), (n - c,))``, so one recursion answers every n up to the
+largest asked for; ``count_sweep`` runs one per pattern set and family.
+The families of a sweep share the set's path memos (grown paths, prefix
+occurrences, drop plans), which depend on the patterns alone, and every
+set and family shares the split tables (``_GapTables``), which depend on
+gap counts and the split rule alone.  Nothing is memoized across calls.
+One rule (``_needless``) decides what a path keeps, for every mix of
+patterns and every statistic: the values of the undominated
 prefix occurrences of the classical patterns, the last k - 1 values for
 consecutive patterns of length up to k, and, for the top-down maxima,
 the path maximum.  A state with a label in a dead gap, where the path
 grown by that label hits a classical atom, weighs zero and is never
-expanded.  The number of trees is tracked where the family needs it
-(binary nodes take at most two children, ordered nodes weigh t trees by
-t!), and the refined counts key each forest by its trees or top-down
-maxima.  ``count_sweep`` is the one counting entry: a plain count, a
-refined table, many sets and many n are all read from its result.
+expanded.  A binary forest is at most two trees, so what is left after
+one tree is a single tree; an ordered forest splits at its first tree,
+so no count of trees is kept.  Every value is indexed by its statistic
+alone: the refined counts key each forest by its trees (counted at the
+top level only) or its top-down maxima.  ``count_sweep`` is the one
+counting entry: a plain count, a refined table, many sets and many n are
+all read from its result.
 
 The parent-vector tally (``_tally``) enumerates every forest instead; no
 command uses it, and the tests keep it as the independent oracle of the
@@ -547,26 +550,31 @@ class _PathMemos(_Memos):
 class _GapTables(_Memos):
     """What the recursion computes from gap counts alone, built on demand
     and shared by every set and family of one sweep: the ``splits`` of a
-    gap vector.  Equal tuples are stored once, in ``tuples``."""
+    gap vector, keyed by the vector and the split rule.  Equal tuples are
+    stored once, in ``tuples``."""
 
     __slots__ = ("splits", "tuples")
 
-    def split(self, gaps: tuple[int, ...]) -> tuple:
-        """For each way the tree holding the smallest label ``m`` fills the
-        gaps: its ``counts``, the ways to choose its labels, and the labels
-        left (None when none are), as three tuples."""
+    def split(self, gaps: tuple[int, ...], first: bool) -> tuple:
+        """For each way one tree fills the gaps: its ``counts``, the ways to
+        choose its labels, and the labels left (None when none are), as
+        three tuples.  The tree is the first one (``first``: any nonempty
+        choice of labels) or the one holding the smallest label ``m``."""
         intern = self.tuples.setdefault
-        low = next(i for i, size in enumerate(gaps) if size)  # m's gap
+        low = -1 if first else next(i for i, size in enumerate(gaps) if size)  # m's gap
         picks = [range(1 if i == low else 0, size + 1) for i, size in enumerate(gaps)]
         tops = list(product(*picks))
         # gaps - counts in the same order, up to the last (nothing left)
         rests = list(product(*[range(size - p.start, -1, -1) for size, p in zip(gaps, picks)]))
-        del rests[-1]
         # C(g, c) ways in a gap, C(g - 1, c - 1) in m's own
-        ways = product(*[[comb(size - p.start, c - p.start) for c in p] for size, p in zip(gaps, picks)])
-        out = self.splits[gaps] = (
+        ways = [[comb(size - p.start, c - p.start) for c in p] for size, p in zip(gaps, picks)]
+        ways = list(map(prod, product(*ways)))
+        if first:
+            del tops[0], rests[0], ways[0]  # the empty tree
+        del rests[-1]
+        out = self.splits[gaps, first] = (
             tuple(map(intern, tops, tops)),
-            tuple(map(prod, ways)),
+            tuple(ways),
             (*map(intern, rests, rests), None),
         )
         return out
@@ -587,13 +595,24 @@ def _gap_count(
     A state ``(P, g)`` is a standardized root path ``P`` and the numbers
     ``g[i]`` of labels still to place between its i-th and (i+1)-th
     smallest values (gap 0 lies below them all, gap ``len(P)`` above).
-    The forests of a state split at the tree holding the smallest label
-    ``m``: that tree takes ``c[i]`` labels from gap ``i``, chosen in
-    ``C(g[i], c[i])`` ways (``C(g[i] - 1, c[i] - 1)`` in m's own gap),
-    its root ``r`` is the (j+1)-th of them in some gap ``i`` (skipped when
-    ``P·r`` contains an atom), and the subtrees of the root form the
-    forest of the state with path ``P·r`` and gap ``i`` split into ``j``
-    and ``c[i] - 1 - j``.  The other trees form ``(P, g - c)``.
+    The forests of a state split into one tree and the forest of the
+    others.  That tree takes ``c[i]`` labels from gap ``i``, its root ``r``
+    is the (j+1)-th of them in some gap ``i`` (skipped when ``P·r``
+    contains an atom), and the subtrees of the root form the forest of the
+    state with path ``P·r`` and gap ``i`` split into ``j`` and
+    ``c[i] - 1 - j``.  The others form ``(P, g - c)``.  An ordered forest
+    is a sequence of trees, so it splits at its first tree, which takes
+    any nonempty choice of labels, in ``C(g[i], c[i])`` ways per gap.  An
+    unordered forest splits at the tree holding the smallest label ``m``,
+    which takes ``C(g[i] - 1, c[i] - 1)`` ways in m's own gap instead; in
+    a binary forest the others are at most one tree.
+
+    A value is a tuple of weights indexed by statistic value.  Under tdm a
+    tree whose root lies in the top gap adds one top-down maximum.  Under
+    trees, ``forest`` and ``tree`` add their ``shift`` to every tree, and
+    only the chain of top-level states ``((), (n,))`` takes ``shift = 1``,
+    so deeper forests count at 0.  ``shift`` is part of the memo keys: a
+    compressed path can become ``()`` below a vertex too.
 
     Gap ``i`` of ``P`` is dead when ``P`` grown by a label in it contains
     a classical atom.  Every label of that gap, at any depth, lies on a
@@ -608,18 +627,16 @@ def _gap_count(
     The forest and tree memos live for one call and are cleared before it
     returns.  The rest is the caller's: the path memos ``paths``, which it
     may share with the calls for other families, and the gap ``tables``
-    (the splits of each gap vector), which depend on no path, family or
-    pattern and may serve every call of a sweep.
+    (the splits of each gap vector under each split rule), which depend on
+    no path or pattern and may serve every call of a sweep.
     """
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
     tdm = statistic == "tdm"
-    # A value is a tuple of weights indexed by t * base + s, for t trees and
-    # statistic s (top-down maxima, else 0), without trailing zeros.  t is
-    # only kept for binary and ordered nodes and for the trees statistic;
-    # elsewhere every forest counts at t = 0.  One base serves every n.
-    base = max_n + 1 if tdm else 1
-    step = base if binary or ordered or statistic == "trees" else 0
+    # A value is a tuple of weights indexed by statistic value (top-down
+    # maxima or trees, else 0), without trailing zeros.  One width serves
+    # every n.
+    width = max_n + 1 if statistic else 1
     # A path keeps what a future can use (``_needless``): what the classical
     # atoms need, the last k - 1 values (contiguous, so consecutive atoms are
     # read there alone) and under tdm the maximum, which bounds the top gap.
@@ -627,7 +644,6 @@ def _gap_count(
     runs = [word for word, consecutive in atoms if consecutive]
     window = max(map(len, runs), default=1) - 1
     cap = _crowding(words)
-    arrangements = [factorial(t) if ordered else 1 for t in range(max_n + 1)]
     unit = (1,)  # the empty forest
     grown, occurrences, plans, built = paths.grown, paths.occurrences, paths.plans, paths.built
     splits, intern = tables.splits, tables.tuples.setdefault
@@ -635,8 +651,7 @@ def _gap_count(
     trees: dict[tuple, tuple[int, ...]] = {}
 
     def below(path: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[int, ...]:
-        """Forests under a vertex, weighted by their child orders and indexed
-        by statistic alone."""
+        """Forests under a vertex, with its path compressed."""
         capped = tuple([g if g < cap else cap for g in gaps]) if words else gaps
         key = (path, capped) if words else path  # no classical atom: drops need the path alone
         plan = plans.get(key)
@@ -655,17 +670,7 @@ def _gap_count(
         if plan:
             path, slices = plan
             gaps = tuple([sum(gaps[a:b]) for a, b in slices])
-        if not any(gaps):
-            return unit
-        value = forest(path, gaps)
-        if not step:
-            return value
-        acc = [0] * base
-        for k, weight in enumerate(value):
-            if weight:
-                t, s = divmod(k, base)
-                acc[s] += weight * arrangements[t]
-        return _packed(acc)
+        return forest(path, gaps, 0) if any(gaps) else unit
 
     def grow(path: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entry of ``path`` in ``grown``: the path grown by a root in
@@ -684,13 +689,13 @@ def _gap_count(
         out = grown[path] = (tuple(ups), dead)
         return out
 
-    def tree(path: tuple[int, ...], counts: tuple[int, ...]) -> tuple[int, ...]:
+    def tree(path: tuple[int, ...], counts: tuple[int, ...], shift: int) -> tuple[int, ...]:
         """Trees below ``path`` whose labels fill its gaps as ``counts``."""
-        key = (path, counts)
+        key = (path, counts, shift)
         out = trees.get(key)
         if out is not None:
             return out
-        acc = [0] * base
+        acc = [0] * width
         ups = (grown.get(path) or grow(path))[0]
         nonempty = sum(1 << i for i, size in enumerate(counts) if size) if words else 0
         for i, size in enumerate(counts):
@@ -709,7 +714,7 @@ def _gap_count(
                         hi = 1  # nothing below the root
                     if dead >> (i + 1) & 1:
                         lo = size - 1  # nothing above it
-            lift = 1 if tdm and i == len(path) else 0
+            lift = shift + 1 if tdm and i == len(path) else shift
             head, tail = counts[:i], counts[i + 1 :]
             for j in range(lo, hi):
                 for s, weight in enumerate(below(up, head + (j, size - 1 - j) + tail)):
@@ -717,38 +722,32 @@ def _gap_count(
         out = trees[key] = _packed(acc)
         return out
 
-    def forest(path: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[int, ...]:
+    def forest(path: tuple[int, ...], gaps: tuple[int, ...], shift: int) -> tuple[int, ...]:
         """Forests below ``path`` whose labels fill its gaps as ``gaps``."""
-        key = (path, gaps)
+        key = (path, gaps, shift)
         out = forests.get(key)
         if out is not None:
             return out
-        acc = [0] * ((max_n + 1) * base if step else base)
-        for counts, ways, left in zip(*(splits.get(gaps) or tables.split(gaps))):
-            first = tree(path, counts)
+        acc = [0] * width
+        for counts, ways, left in zip(*(splits.get((gaps, ordered)) or tables.split(gaps, ordered))):
+            first = tree(path, counts, shift)
             if not first:
                 continue
-            rest = forest(path, left) if left else unit
+            rest = others(path, left, shift) if left else unit
             for k, weight in enumerate(rest):
-                if binary and k >= 2 * base:
-                    break  # a third tree
                 if weight:
-                    k += step
                     for s, w in enumerate(first):
                         acc[k + s] += ways * weight * w
         out = forests[key] = _packed(acc)
         return out
 
+    others = tree if binary else forest  # a binary forest is at most two trees
     try:
+        shift = 1 if statistic == "trees" else 0
         results = []
         for m in range(max_n + 1):
-            result: dict[int, int] = {}
-            for k, weight in enumerate(forest((), (m,)) if m else unit):
-                if weight:
-                    t, s = divmod(k, base) if step else (0, k)
-                    value = t if statistic == "trees" else s
-                    result[value] = result.get(value, 0) + weight * arrangements[t]
-            results.append(result)
+            value = forest((), (m,), shift) if m else unit
+            results.append({s: weight for s, weight in enumerate(value) if weight})
         return results
     finally:
         forests.clear()
@@ -768,14 +767,19 @@ def count_sweep(
     plain avoider count.  The empty set is avoided by every forest.
 
     The statistic, every n and every budget are checked before any
-    counting.  Sets run one at a time, and sets with the same patterns run
-    once: one recursion per family answers every n, the families share the
-    set's path memos, and the memos are freed before the next set.  Every
-    set and family shares the sweep's gap tables (``_GapTables``), which
-    are freed when the sweep returns.
+    counting; an n or budget that is not an ``int`` (or is a ``bool``)
+    raises ``ValueError``.  Sets run one at a time, and sets with the same
+    patterns run once: one recursion per family answers every n, the
+    families share the set's path memos, and the memos are freed before
+    the next set.  Every set and family shares the sweep's gap tables
+    (``_GapTables``), which are freed when the sweep returns.
     """
     if statistic is not None and statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; valid: {STATISTICS}")
+    for name, values in (("n", caps.values()), ("budget", () if budget is None else (budget,))):
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
     for n in caps.values():
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")

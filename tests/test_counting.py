@@ -1,7 +1,7 @@
 import inspect
 from collections import Counter
-from itertools import combinations, permutations, product
-from math import comb, factorial
+from itertools import accumulate, combinations, permutations, product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -186,9 +186,13 @@ class TestRefinedCounts:
 
     @pytest.mark.parametrize("statistic", ["tdm", "trees"])
     def test_refined_sums_to_unrefined(self, statistic):
-        pats = [pattern(321)]
-        table = _count(4, FamilyTag.UNORDERED, pats, statistic)
-        assert sum(table.values()) == _count(4, FamilyTag.UNORDERED, pats).get(0, 0)
+        sets = [[pattern(w) for w in words] for words in [("2143",), ("213", "312"), ("321", "!213")]]
+        caps = {family: 11 for family in FamilyTag}
+        plain = counting.count_sweep(caps, sets, budget=11)
+        refined = counting.count_sweep(caps, sets, statistic, budget=11)
+        for family in FamilyTag:
+            for by_n, totals in zip(refined[family], plain[family]):
+                assert [sum(table.values()) for table in by_n] == [t.get(0, 0) for t in totals]
 
     @pytest.mark.parametrize("family", list(FamilyTag))
     @pytest.mark.parametrize("words", OBJECT_ROUTE_SETS)
@@ -293,6 +297,19 @@ class TestTwoRoutes:
         shared = counting.count_sweep(caps, sets, statistic)
         for family in FamilyTag:
             assert shared[family] == counting.count_sweep({family: 6}, sets, statistic)[family]
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    def test_trees_expand_the_plain_states(self, family):
+        # Trees are counted along the top-level chain alone, so the trees
+        # statistic reaches exactly the compressed states of a plain count.
+        for words in [("2143",), ("213", "312"), ("321", "!213")]:
+            atoms, _ = counting._compile_sets([[pattern(w) for w in words]])
+            keys = []
+            for statistic in (None, "trees"):
+                paths = counting._PathMemos()
+                counting._gap_count(8, family, atoms, statistic, paths, counting._GapTables())
+                keys.append(set(paths.plans))
+            assert keys[0] and keys[0] == keys[1], words
 
     def test_memos_are_freed_per_set_and_equal_sets_run_once(self, monkeypatch):
         seen = []
@@ -542,6 +559,17 @@ class TestDeadGaps:
         assert _count(n, FamilyTag.UNORDERED, lah_class, budget=n) == {0: lah}
         unimodal = _count(13, FamilyTag.UNORDERED, [pattern(213), pattern(312)], budget=13)
         assert unimodal == {0: formula("unimodal", 13)}
+        # increasing plane forests: (2n - 1)!!
+        assert _count(14, FamilyTag.ORDERED, [pattern(21)], budget=14) == {0: 213458046676875}
+        assert prod(range(1, 28, 2)) == 213458046676875
+        # increasing binary forests: the Euler zigzag number E(n + 1)
+        row = [1]
+        for _ in range(17):  # the boustrophedon, row k ending in E(k)
+            row = list(accumulate(reversed(row), initial=0))
+        assert row[-1] == 209865342976
+        assert _count(16, FamilyTag.UNORDERED_BINARY, [pattern(21)], budget=16) == {0: row[-1]}
+        totals = counting.count_sweep({FamilyTag.ORDERED: 12}, [[]], budget=12)[FamilyTag.ORDERED][0]
+        assert totals == [{0: factorial(n) * catalan(n)} for n in range(13)]
 
 
 # Pattern sets whose unordered and binary streams are also checked at n = 6.
@@ -630,6 +658,25 @@ class TestBudgets:
         monkeypatch.setenv("FOREST_PATTERNS_BUDGET", "-2")
         with pytest.raises(ValueError, match="negative budget -2"):
             counting.count_sweep({FamilyTag.UNORDERED: 0}, [[pattern(321)]])
+
+    @pytest.mark.parametrize(
+        "n, budget, message",
+        [
+            (True, None, "n must be an integer, got True"),
+            (2.0, None, "n must be an integer, got 2.0"),
+            (None, None, "n must be an integer, got None"),
+            (2, 2.5, "budget must be an integer, got 2.5"),
+            (2, True, "budget must be an integer, got True"),
+            (2, "9", "budget must be an integer, got '9'"),
+        ],
+    )
+    def test_non_integer_n_or_budget_is_rejected_before_counting(self, monkeypatch, n, budget, message):
+        def refuse(*args):
+            raise AssertionError("counted before the type check")
+
+        monkeypatch.setattr(counting, "_gap_count", refuse)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            counting.count_sweep({FamilyTag.UNORDERED: n}, [[pattern(321)]], budget=budget)
 
 
 class TestTableRows:
