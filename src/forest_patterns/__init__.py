@@ -43,7 +43,6 @@ from .counting import (
     catalan,
     count_sweep,
     formula,
-    gen_avoiders,
     stirling1,
     stirling2,
     table_rows,
@@ -72,6 +71,7 @@ from .generate import (
     OrderedSetPartition,
     SetPartition,
     count_forests,
+    gen_avoiders,
     gen_compositions,
     gen_forests,
     gen_list_partitions,

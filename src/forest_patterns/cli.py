@@ -169,14 +169,11 @@ def _cmd_enumerate(args, out) -> int:
         raise ValueError("n must be nonnegative")
     if args.family in FOREST_FAMILIES:
         family = FOREST_FAMILIES[args.family]
-        if args.avoid:
-            pats = parse_pattern_list(args.avoid, args.mode)
-            vectors = counting._avoider_vectors(args.n, family, pats)
-        else:
-            vectors = iter_parent_vectors(args.n, binary=family is FamilyTag.UNORDERED_BINARY)
+        pats = () if args.avoid is None else parse_pattern_list(args.avoid, args.mode)
+        vectors = iter_parent_vectors(args.n, family is FamilyTag.UNORDERED_BINARY, pats)
         lines = _forest_lines(args.n, vectors, family is FamilyTag.ORDERED, args.format)
     else:
-        if args.avoid:
+        if args.avoid is not None:
             raise ValueError("--avoid only applies to forest families")
         lines = (_object_line(obj, args.format) for obj in OBJECT_FAMILIES[args.family](args.n))
     for line in itertools.islice(lines, args.limit):

@@ -33,14 +33,11 @@ top level only) or its top-down maxima.  ``count_sweep`` is the one
 counting entry: a plain count, a refined table, many sets and many n are
 all read from its result.
 
-The parent-vector tally (``_tally``) enumerates every forest instead; no
-command uses it, and the tests keep it as the independent oracle of the
-recursion.  The avoider stream ``_avoider_vectors`` generates parent
-vectors in the same order but cuts each branch at the first partial root
-path that hits a pattern, so it yields only the vectors that avoid every
-pattern.  ``gen_avoiders`` builds their forests (for the ordered family,
-with every combination of child orders); ``enumerate --avoid`` prints its
-lines straight from the vectors and builds none.
+The parent-vector tally (``_tally``) enumerates every forest instead,
+through the unpruned ``iter_parent_vectors``; no command uses it, and
+the tests keep it as the independent oracle of the recursion.  Listing
+the avoiders themselves is generation, not counting: see
+``generate.iter_parent_vectors`` with patterns and ``gen_avoiders``.
 """
 from __future__ import annotations
 
@@ -49,10 +46,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .forests import FamilyTag, Forest, _leaf_paths
-from .generate import _child_order_weight, _forests_of_vector, iter_parent_vectors
+from .forests import FamilyTag, _leaf_paths
+from .generate import _child_order_weight, iter_parent_vectors
 from .perms import Pattern, PatternMode, pattern, word_contains_classical, word_contains_consecutive
 
 
@@ -286,7 +283,7 @@ def _leaf_paths_of_vector(n: int, vec: tuple[int, ...]) -> list[tuple[int, ...]]
     children: list[list[int]] = [[] for _ in range(n + 1)]
     for i, p in enumerate(vec):
         children[p].append(i + 1)
-    return _leaf_paths(children)
+    return _leaf_paths(children, children[0])
 
 
 def _compile_sets(
@@ -308,91 +305,6 @@ def _compile_sets(
 
 
 STATISTICS = ("tdm", "trees")
-
-
-def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iterator[Forest]:
-    """The forests of ``gen_forests(n, family)`` that avoid every pattern,
-    in the same order: the forests of the vectors ``_avoider_vectors``
-    streams (for the ordered family, with every combination of child
-    orders)."""
-    ordered = family is FamilyTag.ORDERED
-    for vec in _avoider_vectors(n, family, patterns):
-        yield from _forests_of_vector(n, vec, ordered)
-
-
-def _avoider_vectors(
-    n: int, family: FamilyTag, patterns: Iterable[Pattern]
-) -> Iterator[list[int]]:
-    """The parent vectors of ``iter_parent_vectors(n, binary)``, as lists,
-    whose forests avoid every pattern, in the same order.  Child orders
-    play no part: an ordered forest avoids the patterns iff its vector
-    does.
-
-    A generation subtree is cut at the first chain that hits an atom.  When
-    vertex ``i`` takes a parent, the labels from each leaf hanging below
-    ``i``, up through ``i`` to the root or to the first ancestor that has
-    no parent yet, form a factor of every later root path through that
-    leaf, so a hit (classical or consecutive) rules out every completion.
-    Each root path is checked whole when its largest label takes a
-    parent, so the vectors that survive are exactly the avoiders.  Chain
-    masks are memoized until the stream ends."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    patterns = list(patterns)
-    if not patterns:
-        raise ValueError("pattern sets must be nonempty")
-    atoms, _ = _compile_sets([patterns])
-    binary = family is FamilyTag.UNORDERED_BINARY
-    parents = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]  # among vertices with a parent
-    cache: dict[tuple[int, ...], int] = {}
-
-    def rec(i: int) -> Iterator[list[int]]:
-        if i > n:  # only for n = 0: the empty vector
-            yield parents[1:]
-            return
-        below: list[tuple[int, ...]] = []  # from i down to each leaf under it
-        stack = [(i,)]
-        while stack:
-            chain = stack.pop()
-            kids = children[chain[-1]]
-            if kids:
-                stack += [chain + (c,) for c in kids]
-            else:
-                below.append(chain)
-        for j in range(n + 1):
-            if j == i or (binary and len(children[j]) >= 2):
-                continue
-            above = []
-            w = j
-            while 0 < w < i:
-                above.append(w)
-                w = parents[w]
-            if w == i:  # assigning i -> j would close a cycle
-                continue
-            if w:  # the first ancestor that has no parent yet
-                above.append(w)
-            top = tuple(reversed(above))
-            for chain in below:
-                chain = top + chain
-                mask = cache.get(chain)
-                if mask is None:
-                    mask = cache[chain] = _path_mask(chain, atoms)
-                if mask:
-                    break
-            else:
-                parents[i] = j
-                if i == n:
-                    yield parents[1:]
-                    continue
-                children[j].append(i)
-                yield from rec(i + 1)
-                children[j].pop()
-
-    try:
-        yield from rec(1)
-    finally:
-        cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -220,11 +220,13 @@ def from_parents(
         raise
 
 
-def _leaf_paths(children) -> list[tuple[int, ...]]:
-    """Root-to-leaf label paths from ascending child lists, where
-    ``children[0]`` holds the roots; the largest label is walked first."""
+def _leaf_paths(children, roots) -> list[tuple[int, ...]]:
+    """The label paths from each of ``roots`` down to every leaf below
+    it, read from ascending child lists (``children[v]`` holds the
+    children of ``v``); the largest label is walked first.  With the
+    roots of a forest, ``children[0]``, these are its root-to-leaf paths."""
     paths: list[tuple[int, ...]] = []
-    stack = [(r, (r,)) for r in children[0]]
+    stack = [(r, (r,)) for r in roots]
     while stack:
         v, path = stack.pop()
         kids = children[v]
@@ -242,7 +244,7 @@ def root_leaf_paths(f: Forest) -> list[tuple[int, ...]]:
     Every root-to-vertex path is a prefix of one of these, so checking
     leaves is enough for pattern avoidance.
     """
-    return _leaf_paths(f._children)
+    return _leaf_paths(f._children, f.roots)
 
 
 def root_vertex_paths(f: Forest) -> list[tuple[int, ...]]:

@@ -5,7 +5,10 @@ two runs produce identical sequences.  Forests are enumerated directly as
 acyclic parent vectors in lexicographic order; the parent vector is the
 canonical form for unordered forests, so no isomorphism deduplication is
 ever needed.  Ordered (plane) forests extend each parent vector with every
-combination of child orders.
+combination of child orders.  ``iter_parent_vectors`` is the one walk:
+given patterns, it cuts each branch at the first partial root path that
+hits one, so ``gen_avoiders`` (and ``enumerate --avoid``) generates only
+the avoiders, in the order of the full stream.
 
 Cardinalities (used as oracles by the test suite):
 
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .forests import FamilyTag, Forest
-from .perms import CycleDecomposition
+from .forests import FamilyTag, Forest, _leaf_paths
+from .perms import CycleDecomposition, Pattern, word_contains
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +139,76 @@ class Composition:
 # forest enumeration
 
 
-def iter_parent_vectors(n: int, binary: bool = False) -> Iterator[tuple[int, ...]]:
-    """All acyclic parent vectors (p_1, ..., p_n) in lexicographic order.
+def iter_parent_vectors(
+    n: int, binary: bool = False, patterns: Iterable[Pattern] = ()
+) -> Iterator[tuple[int, ...]]:
+    """All acyclic parent vectors (p_1, ..., p_n) in lexicographic order,
+    or, given ``patterns``, those whose forests avoid every pattern, in
+    the same order.  Child orders play no part: an ordered forest avoids
+    the patterns iff its vector does.
 
     ``binary`` caps every vertex, including the virtual root, at two
     children.
+
+    With patterns, a branch is cut at the first chain that hits one.  When
+    vertex ``i`` takes a parent, the labels from each leaf hanging below
+    ``i``, up through ``i`` to the root or to the first ancestor that has
+    no parent yet, form a factor of every later root path through that
+    leaf, so a hit (classical or consecutive) rules out every completion.
+    Each root path is checked whole when its largest label takes a
+    parent, so the vectors that survive are exactly the avoiders.  Chain
+    hits are memoized until the stream ends.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
+    patterns = tuple(patterns)
     parents = [0] * (n + 1)
-    child_count = [0] * (n + 1)
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # among vertices with a parent
+    hits: dict[tuple[int, ...], bool] = {}
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i > n:
-            yield tuple(parents[1:])
-            return
+        below = _leaf_paths(children, (i,)) if patterns else ()
         for j in range(n + 1):
-            if j == i:
-                continue
-            if binary and child_count[j] >= 2:
+            if j == i or (binary and len(children[j]) >= 2):
                 continue
             w = j
             while 0 < w < i:
                 w = parents[w]
             if w == i:  # assigning i -> j would close a cycle
                 continue
+            if below:
+                up = []  # from j up to the root or to the first ancestor with no parent yet
+                v = j
+                while v != w:
+                    up.append(v)
+                    v = parents[v]
+                if w:
+                    up.append(w)
+                top = tuple(reversed(up))
+                for chain in below:
+                    chain = top + chain
+                    hit = hits.get(chain)
+                    if hit is None:
+                        hit = hits[chain] = any(word_contains(chain, p) for p in patterns)
+                    if hit:
+                        break
+                if hit:
+                    continue
             parents[i] = j
-            child_count[j] += 1
+            if i == n:
+                yield tuple(parents[1:])
+                continue
+            children[j].append(i)
             yield from rec(i + 1)
-            child_count[j] -= 1
-        parents[i] = 0
+            children[j].pop()
 
-    yield from rec(1)
+    try:
+        yield from rec(1)
+    finally:
+        hits.clear()
 
 
 def _child_orders(n: int, vec: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -184,26 +222,32 @@ def _child_orders(n: int, vec: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     return itertools.product(*(list(itertools.permutations(kids)) for kids in children))
 
 
-def _forests_of_vector(n: int, vec: Sequence[int], ordered: bool) -> Iterator[Forest]:
-    """The forest of one parent vector, or for the ordered family one
-    forest per combination of child orders.  ``Forest`` itself rejects a
-    vector that is not a forest."""
-    base = Forest(dict(zip(range(1, n + 1), vec)))
-    if not ordered:
-        yield base
-        return
-    for combo in _child_orders(n, vec):
-        yield Forest(base.parent, dict(enumerate(combo)))
+def _family_forests(n: int, family: FamilyTag, patterns: tuple[Pattern, ...]) -> Iterator[Forest]:
+    """The forests of the vectors ``iter_parent_vectors`` walks for the
+    family, for the ordered family one per combination of child orders."""
+    ordered = family is FamilyTag.ORDERED
+    for vec in iter_parent_vectors(n, family is FamilyTag.UNORDERED_BINARY, patterns):
+        base = Forest(dict(zip(range(1, n + 1), vec)))
+        if not ordered:
+            yield base
+            continue
+        for combo in _child_orders(n, vec):
+            yield Forest(base.parent, dict(enumerate(combo)))
 
 
 def gen_forests(n: int, family: FamilyTag) -> Iterator[Forest]:
     """Every forest on [n] in the family, exactly once, lexicographically
     by parent vector (then by child orders for the ordered family)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ordered = family is FamilyTag.ORDERED
-    for vec in iter_parent_vectors(n, binary=family is FamilyTag.UNORDERED_BINARY):
-        yield from _forests_of_vector(n, vec, ordered)
+    yield from _family_forests(n, family, ())
+
+
+def gen_avoiders(n: int, family: FamilyTag, patterns: Iterable[Pattern]) -> Iterator[Forest]:
+    """The forests of ``gen_forests(n, family)`` that avoid every pattern,
+    in the same order; only those are generated."""
+    patterns = tuple(patterns)
+    if n >= 0 and not patterns:  # a negative n is the walk's error, and comes first
+        raise ValueError("pattern sets must be nonempty")
+    yield from _family_forests(n, family, patterns)
 
 
 def _child_order_weight(vec: Sequence[int]) -> int:

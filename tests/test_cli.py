@@ -168,6 +168,16 @@ def test_enumerate_avoid_rejected_for_object_families():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [("unordered", "empty pattern list"), ("set-partitions", "--avoid only applies to forest families")],
+)
+def test_enumerate_empty_avoid_exits_two(family, message, capsys):
+    code, out = invoke("enumerate", "--family", family, "--n", "3", "--avoid", "")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_pass_exit_code():
     code, out = invoke("verify", "--theorem", "unimodal", "--max-n", "3", "--jobs", "1")
     assert code == 0

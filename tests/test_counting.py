@@ -26,7 +26,12 @@ from forest_patterns import counting, generate, verify
 from forest_patterns.counting import FORMULA_CLASSES, STATISTICS, budget_for
 from forest_patterns.forests import avoids, avoids_per_vertex, top_down_maxima
 from forest_patterns.bijections import avoid312_to_avoid321
-from forest_patterns.perms import PatternMode, word_contains_classical, word_contains_consecutive
+from forest_patterns.perms import (
+    PatternMode,
+    word_contains,
+    word_contains_classical,
+    word_contains_consecutive,
+)
 
 # one classical, one consecutive, and one two-pattern set
 OBJECT_ROUTE_SETS = [("321",), ("!231",), ("213", "312")]
@@ -594,19 +599,27 @@ class TestAvoiderStream:
 
     def test_never_lists_every_parent_vector(self, monkeypatch):
         pats = [pattern(w) for w in ("213", "!312")]
-        expected = {
-            family: [f for f in gen_forests(4, family) if avoids_per_vertex(f, pats)]
-            for family in FamilyTag
-        }
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the avoider stream walked every parent vector")
-
-        monkeypatch.setattr(counting, "iter_parent_vectors", refuse)
-        monkeypatch.setattr(counting, "_leaf_paths_of_vector", refuse)
-        monkeypatch.setattr(generate, "iter_parent_vectors", refuse)
         for family in FamilyTag:
-            assert list(gen_avoiders(4, family, pats)) == expected[family]
+            expected = [f for f in gen_forests(4, family) if avoids_per_vertex(f, pats)]
+            assert list(gen_avoiders(4, family, pats)) == expected
+
+        # Every chain contains 1, so the walk dies at vertex 1 after one
+        # chain test per parent it tries; a walk that tested whole vectors
+        # would visit about 10^8 of them at n = 9.
+        n = 9
+        tests = []
+
+        def spy(word, pat):
+            tests.append(word)
+            if len(tests) > n + 1:
+                raise AssertionError(f"{len(tests)} chain tests: the walk is not pruned")
+            return word_contains(word, pat)
+
+        monkeypatch.setattr(generate, "word_contains", spy)
+        for family in FamilyTag:
+            tests.clear()
+            assert list(gen_avoiders(n, family, [pattern(1)])) == []
+            assert tests
 
     def test_rejects_negative_n_and_empty_pattern_set(self):
         with pytest.raises(ValueError, match="nonnegative"):

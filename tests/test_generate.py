@@ -1,6 +1,8 @@
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forest_patterns import (
     Composition,
@@ -11,6 +13,7 @@ from forest_patterns import (
     binom,
     catalan,
     count_forests,
+    count_sweep,
     gen_compositions,
     gen_forests,
     gen_list_partitions,
@@ -19,10 +22,13 @@ from forest_patterns import (
     gen_partitioned_cycle_decomps,
     gen_set_partitions,
     iter_parent_vectors,
+    pattern,
     stirling1,
     stirling2,
 )
-from forest_patterns.generate import satisfies_family
+from forest_patterns.forests import avoids_per_vertex, from_parents
+from forest_patterns.generate import _child_order_weight, satisfies_family
+from forest_patterns.perms import PatternMode
 
 
 class TestForestStreams:
@@ -78,6 +84,35 @@ class TestForestStreams:
     def test_binary_restricts_virtual_root_too(self):
         tri_root = tuple(f.roots for f in gen_forests(3, FamilyTag.UNORDERED_BINARY))
         assert (1, 2, 3) not in tri_root
+
+
+# Sets of one to three atoms of length 1 to 4, each classical or consecutive.
+atom_sets = st.lists(
+    st.builds(
+        pattern,
+        st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple),
+        st.sampled_from(PatternMode),
+    ),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+families_and_n = st.sampled_from(list(FamilyTag)).flatmap(
+    lambda family: st.tuples(st.just(family), st.integers(0, 4 if family is FamilyTag.ORDERED else 5))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_and_n, atom_sets)
+def test_pruned_walk_lists_exactly_the_avoiders(family_and_n, pats):
+    family, n = family_and_n
+    binary = family is FamilyTag.UNORDERED_BINARY
+    pruned = list(iter_parent_vectors(n, binary, pats))
+    assert pruned == [
+        vec for vec in iter_parent_vectors(n, binary) if avoids_per_vertex(from_parents(n, vec), pats)
+    ]
+    weight = _child_order_weight if family is FamilyTag.ORDERED else (lambda vec: 1)
+    assert sum(map(weight, pruned)) == count_sweep({family: n}, [pats])[family][0][n].get(0, 0)
 
 
 class TestSetPartitions:
