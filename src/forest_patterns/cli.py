@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -49,11 +50,11 @@ OBJECT_FAMILIES: dict[str, Callable[[int], object]] = {
 }
 
 
-def parse_pattern_list(text: str, mode: str = "mixed") -> list[Pattern]:
+def parse_pattern_list(text: str, mode: str | None = "mixed") -> list[Pattern]:
     """Parse ``321,!231``: a ``!`` prefix marks a consecutive pattern.
 
     ``mode`` = classical or consecutive forces every pattern to that mode;
-    ``mixed`` (the default) honors the prefixes.  A token is one optional
+    ``mixed`` (the default) or None honors the prefixes.  A token is one optional
     ``!`` and digits; empty tokens are skipped.
     """
     pats = []
@@ -167,6 +168,8 @@ def _cmd_enumerate(args, out) -> int:
         raise ValueError("--limit must be nonnegative")
     if args.n < 0:  # a stream checks n only when first advanced
         raise ValueError("n must be nonnegative")
+    if args.mode is not None and args.avoid is None:
+        raise ValueError("--mode only applies with --avoid")
     if args.family in FOREST_FAMILIES:
         family = FOREST_FAMILIES[args.family]
         pats = () if args.avoid is None else parse_pattern_list(args.avoid, args.mode)
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--avoid", help="pattern list, e.g. 321,!231 (forest families only)")
-    p.add_argument("--mode", choices=["classical", "consecutive", "mixed"], default="mixed")
+    p.add_argument("--mode", choices=["classical", "consecutive", "mixed"])  # None: mixed
     p.add_argument("--limit", type=int)
     add_format(p, ("text", "json"))
 
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(FOREST_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--avoid", required=True)
-    p.add_argument("--mode", choices=["classical", "consecutive", "mixed"], default="mixed")
+    p.add_argument("--mode", choices=["classical", "consecutive", "mixed"])  # None: mixed
     p.add_argument("--by", choices=list(counting.STATISTICS))
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int)
@@ -328,9 +331,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built on its first call.  Parsing keeps no
+    state in it, so every call reuses it."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None, out=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
         # Counting runs in one process, so --jobs changes no result; count,

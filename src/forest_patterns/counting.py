@@ -29,9 +29,12 @@ expanded.  A binary forest is at most two trees, so what is left after
 one tree is a single tree; an ordered forest splits at its first tree,
 so no count of trees is kept.  Every value is indexed by its statistic
 alone: the refined counts key each forest by its trees (counted at the
-top level only) or its top-down maxima.  ``count_sweep`` is the one
-counting entry: a plain count, a refined table, many sets and many n are
-all read from its result.
+top level only) or its top-down maxima.  A value is one int holding a
+polynomial in the statistic, one field of ``B`` bits per statistic value;
+``B`` fits the number of ordered forests on the largest n, which bounds
+every weight, so fields never carry and one multiplication convolves two
+values.  ``count_sweep`` is the one counting entry: a plain count, a
+refined table, many sets and many n are all read from its result.
 
 The parent-vector tally (``_tally``) enumerates every forest instead,
 through the unpruned ``iter_parent_vectors``; no command uses it, and
@@ -311,14 +314,6 @@ STATISTICS = ("tdm", "trees")
 # the gap-state recursion (the counting engine)
 
 
-def _packed(acc: list[int]) -> tuple[int, ...]:
-    """``acc`` without its trailing zeros, as a tuple."""
-    end = len(acc)
-    while end and not acc[end - 1]:
-        end -= 1
-    return tuple(acc[:end])
-
-
 # For each atom, the occurrences in a path of its proper prefixes, longest
 # prefixes first: (prefix length, values used, for each later letter the
 # gaps of its interval as a bit mask, and the intervals that need two or
@@ -519,12 +514,22 @@ def _gap_count(
     which takes ``C(g[i] - 1, c[i] - 1)`` ways in m's own gap instead; in
     a binary forest the others are at most one tree.
 
-    A value is a tuple of weights indexed by statistic value.  Under tdm a
-    tree whose root lies in the top gap adds one top-down maximum.  Under
-    trees, ``forest`` and ``tree`` add their ``shift`` to every tree, and
-    only the chain of top-level states ``((), (n,))`` takes ``shift = 1``,
-    so deeper forests count at 0.  ``shift`` is part of the memo keys: a
-    compressed path can become ``()`` below a vertex too.
+    A value is one nonnegative int, a polynomial in the statistic packed
+    at ``2**B``: its field ``s``, the bits ``s·B`` to ``s·B + B - 1``,
+    holds the weight at statistic value ``s``.  ``B`` is the bit length
+    of ``max_n!·Catalan(max_n)``, the number of ordered forests on
+    ``max_n`` labels, which no family exceeds on at most ``max_n`` labels.
+    Every weight and every partial sum of one is a number of distinct
+    forests on at most ``max_n`` labels, so it fits in its field and no
+    field carries into the next.  The empty forest is ``1``, a split adds
+    ``ways * first * rest`` (a product of polynomials), and a tree that
+    adds ``lift`` to the statistic is shifted left by ``lift·B``; only the
+    result loop unpacks the fields.  Under tdm a tree whose root lies in
+    the top gap adds one top-down maximum.  Under trees, ``forest`` and
+    ``tree`` add their ``shift`` to every tree, and only the chain of
+    top-level states ``((), (n,))`` takes ``shift = 1``, so deeper
+    forests count at 0.  ``shift`` is part of the memo keys: a compressed
+    path can become ``()`` below a vertex too.
 
     Gap ``i`` of ``P`` is dead when ``P`` grown by a label in it contains
     a classical atom.  Every label of that gap, at any depth, lies on a
@@ -545,10 +550,7 @@ def _gap_count(
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
     tdm = statistic == "tdm"
-    # A value is a tuple of weights indexed by statistic value (top-down
-    # maxima or trees, else 0), without trailing zeros.  One width serves
-    # every n.
-    width = max_n + 1 if statistic else 1
+    bits = (factorial(max_n) * catalan(max_n)).bit_length()  # B: one field per statistic value
     # A path keeps what a future can use (``_needless``): what the classical
     # atoms need, the last k - 1 values (contiguous, so consecutive atoms are
     # read there alone) and under tdm the maximum, which bounds the top gap.
@@ -556,13 +558,12 @@ def _gap_count(
     runs = [word for word, consecutive in atoms if consecutive]
     window = max(map(len, runs), default=1) - 1
     cap = _crowding(words)
-    unit = (1,)  # the empty forest
     grown, occurrences, plans, built = paths.grown, paths.occurrences, paths.plans, paths.built
     splits, intern = tables.splits, tables.tuples.setdefault
-    forests: dict[tuple, tuple[int, ...]] = {}
-    trees: dict[tuple, tuple[int, ...]] = {}
+    forests: dict[tuple, int] = {}
+    trees: dict[tuple, int] = {}
 
-    def below(path: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[int, ...]:
+    def below(path: tuple[int, ...], gaps: tuple[int, ...]) -> int:
         """Forests under a vertex, with its path compressed."""
         capped = tuple([g if g < cap else cap for g in gaps]) if words else gaps
         key = (path, capped) if words else path  # no classical atom: drops need the path alone
@@ -582,7 +583,7 @@ def _gap_count(
         if plan:
             path, slices = plan
             gaps = tuple([sum(gaps[a:b]) for a, b in slices])
-        return forest(path, gaps, 0) if any(gaps) else unit
+        return forest(path, gaps, 0) if any(gaps) else 1  # 1: the empty forest
 
     def grow(path: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entry of ``path`` in ``grown``: the path grown by a root in
@@ -601,13 +602,13 @@ def _gap_count(
         out = grown[path] = (tuple(ups), dead)
         return out
 
-    def tree(path: tuple[int, ...], counts: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    def tree(path: tuple[int, ...], counts: tuple[int, ...], shift: int) -> int:
         """Trees below ``path`` whose labels fill its gaps as ``counts``."""
         key = (path, counts, shift)
         out = trees.get(key)
         if out is not None:
             return out
-        acc = [0] * width
+        acc = 0
         ups = (grown.get(path) or grow(path))[0]
         nonempty = sum(1 << i for i, size in enumerate(counts) if size) if words else 0
         for i, size in enumerate(counts):
@@ -628,38 +629,35 @@ def _gap_count(
                         lo = size - 1  # nothing above it
             lift = shift + 1 if tdm and i == len(path) else shift
             head, tail = counts[:i], counts[i + 1 :]
-            for j in range(lo, hi):
-                for s, weight in enumerate(below(up, head + (j, size - 1 - j) + tail)):
-                    acc[s + lift] += weight
-        out = trees[key] = _packed(acc)
+            subtrees = sum(below(up, head + (j, size - 1 - j) + tail) for j in range(lo, hi))
+            acc += subtrees << lift * bits
+        out = trees[key] = acc
         return out
 
-    def forest(path: tuple[int, ...], gaps: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    def forest(path: tuple[int, ...], gaps: tuple[int, ...], shift: int) -> int:
         """Forests below ``path`` whose labels fill its gaps as ``gaps``."""
         key = (path, gaps, shift)
         out = forests.get(key)
         if out is not None:
             return out
-        acc = [0] * width
+        acc = 0
         for counts, ways, left in zip(*(splits.get((gaps, ordered)) or tables.split(gaps, ordered))):
             first = tree(path, counts, shift)
-            if not first:
-                continue
-            rest = others(path, left, shift) if left else unit
-            for k, weight in enumerate(rest):
-                if weight:
-                    for s, w in enumerate(first):
-                        acc[k + s] += ways * weight * w
-        out = forests[key] = _packed(acc)
+            if first:
+                acc += ways * first * (others(path, left, shift) if left else 1)
+        out = forests[key] = acc
         return out
 
     others = tree if binary else forest  # a binary forest is at most two trees
     try:
         shift = 1 if statistic == "trees" else 0
+        field = (1 << bits) - 1
         results = []
         for m in range(max_n + 1):
-            value = forest((), (m,), shift) if m else unit
-            results.append({s: weight for s, weight in enumerate(value) if weight})
+            value = forest((), (m,), shift) if m else 1
+            results.append({
+                s: weight for s in range(max_n + 1) if (weight := value >> s * bits & field)
+            })
         return results
     finally:
         forests.clear()

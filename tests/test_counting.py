@@ -577,6 +577,25 @@ class TestDeadGaps:
         assert totals == [{0: factorial(n) * catalan(n)} for n in range(13)]
 
 
+class TestPackedValues:
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    def test_no_field_carries(self, family):
+        # The empty set gives the largest weight any set can, in every field.
+        top = 24
+        plain, trees, tdm = (
+            counting.count_sweep({family: top}, [[]], statistic, budget=top)[family][0]
+            for statistic in (None, "trees", "tdm")
+        )
+        closed = {  # forests on [n] with k trees
+            FamilyTag.UNORDERED: lambda n, k: comb(n - 1, k - 1) * n ** (n - k),  # Cayley
+            FamilyTag.ORDERED: lambda n, k: factorial(n - 1) * k * comb(2 * n - k - 1, n - 1),
+        }
+        for n in range(1, top + 1):
+            assert sum(trees[n].values()) == plain[n][0] == sum(tdm[n].values()), n
+            if family in closed:
+                assert trees[n] == {k: closed[family](n, k) for k in range(1, n + 1)}, n
+
+
 # Pattern sets whose unordered and binary streams are also checked at n = 6.
 STREAM_SETS_AT_SIX = [("213", "312"), ("!231",), ("123", "!321"), ("1",)]
 
