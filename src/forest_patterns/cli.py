@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -50,11 +51,11 @@ OBJECT_FAMILIES: dict[str, Callable[[int], object]] = {
 }
 
 
-def parse_pattern_list(text: str, mode: str | None = "mixed") -> list[Pattern]:
+def parse_pattern_list(text: str, mode: str = "mixed") -> list[Pattern]:
     """Parse ``321,!231``: a ``!`` prefix marks a consecutive pattern.
 
     ``mode`` = classical or consecutive forces every pattern to that mode;
-    ``mixed`` (the default) or None honors the prefixes.  A token is one optional
+    ``mixed`` (the default) honors the prefixes.  A token is one optional
     ``!`` and digits; empty tokens are skipped.
     """
     pats = []
@@ -172,7 +173,7 @@ def _cmd_enumerate(args, out) -> int:
         raise ValueError("--mode only applies with --avoid")
     if args.family in FOREST_FAMILIES:
         family = FOREST_FAMILIES[args.family]
-        pats = () if args.avoid is None else parse_pattern_list(args.avoid, args.mode)
+        pats = () if args.avoid is None else parse_pattern_list(args.avoid, args.mode or "mixed")
         vectors = iter_parent_vectors(args.n, family is FamilyTag.UNORDERED_BINARY, pats)
         lines = _forest_lines(args.n, vectors, family is FamilyTag.ORDERED, args.format)
     else:
@@ -266,17 +267,25 @@ def _cmd_table(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a help formatter at every add_argument, and a default
+    # one asks the terminal for its width; ask once (the default keeps 2
+    # columns free).
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     ap = argparse.ArgumentParser(
         prog="forest-patterns",
         description="Pattern avoidance in rooted labeled forests: enumeration, "
         "bijections, counting, and table reproduction.",
+        formatter_class=formatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, formatter_class=formatter)
 
     def add_format(p, choices=("text", "json", "csv")):
         p.add_argument("--format", choices=choices, default="text")
 
-    p = sub.add_parser("enumerate", help="stream every object of a family")
+    p = command("enumerate", help="stream every object of a family")
     p.add_argument(
         "--family",
         required=True,
@@ -288,23 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int)
     add_format(p, ("text", "json"))
 
-    p = sub.add_parser("count", help="count avoiders of a pattern set")
+    p = command("count", help="count avoiders of a pattern set")
     p.add_argument("--family", required=True, choices=sorted(FOREST_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--avoid", required=True)
-    p.add_argument("--mode", choices=["classical", "consecutive", "mixed"])  # None: mixed
+    p.add_argument("--mode", choices=["classical", "consecutive", "mixed"], default="mixed")
     p.add_argument("--by", choices=list(counting.STATISTICS))
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int)
     add_format(p)
 
-    p = sub.add_parser("map", help="apply a bijection to one object")
+    p = command("map", help="apply a bijection to one object")
     p.add_argument("--bijection", required=True, choices=sorted(BIJECTIONS))
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--input", required=True)
     add_format(p, ("text", "json"))
 
-    p = sub.add_parser("verify", help="check a named result against the counting engine")
+    p = command("verify", help="check a named result against the counting engine")
     p.add_argument(
         "--theorem", required=True, choices=sorted(verify.CHECKS) + ["all"]
     )
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     add_format(p)
 
-    p = sub.add_parser("table", help="recompute a bundled reference table")
+    p = command("table", help="recompute a bundled reference table")
     p.add_argument("--figure", required=True, choices=sorted(counting.REFERENCE_TABLES))
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
@@ -331,15 +340,8 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``run``, built on its first call.  Parsing keeps no
-    state in it, so every call reuses it."""
-    return build_parser()
-
-
 def run(argv: Sequence[str] | None = None, out=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
         # Counting runs in one process, so --jobs changes no result; count,

@@ -18,23 +18,25 @@ largest asked for; ``count_sweep`` runs one per pattern set and family.
 The families of a sweep share the set's path memos (grown paths, prefix
 occurrences, drop plans), which depend on the patterns alone, and every
 set and family shares the split tables (``_GapTables``), which depend on
-gap counts and the split rule alone.  Nothing is memoized across calls.
-One rule (``_needless``) decides what a path keeps, for every mix of
-patterns and every statistic: the values of the undominated
+gap counts and the split rule alone; only rows of binomial coefficients
+outlive a call.  One rule (``_needless``) decides what a path keeps, for
+every mix of patterns and every statistic: the values of the undominated
 prefix occurrences of the classical patterns, the last k - 1 values for
-consecutive patterns of length up to k, and, for the top-down maxima,
-the path maximum.  A state with a label in a dead gap, where the path
-grown by that label hits a classical atom, weighs zero and is never
-expanded.  A binary forest is at most two trees, so what is left after
-one tree is a single tree; an ordered forest splits at its first tree,
-so no count of trees is kept.  Every value is indexed by its statistic
-alone: the refined counts key each forest by its trees (counted at the
-top level only) or its top-down maxima.  A value is one int holding a
-polynomial in the statistic, one field of ``B`` bits per statistic value;
-``B`` fits the number of ordered forests on the largest n, which bounds
-every weight, so fields never carry and one multiplication convolves two
-values.  ``count_sweep`` is the one counting entry: a plain count, a
-refined table, many sets and many n are all read from its result.
+consecutive patterns of length up to k (when they are alone and tdm is
+not asked for, just the longest suffix that starts like one), and, for
+the top-down maxima, the path maximum.  A state with a label in a dead
+gap, where the path grown by that label hits a classical atom, weighs
+zero and is never expanded.  A binary forest is at most two trees, so
+what is left after one tree is a single tree; an ordered forest splits at
+its first tree, so no count of trees is kept.  Every value is indexed by
+its statistic alone: the refined counts key each forest by its trees
+(counted at the top level only) or its top-down maxima.  A value is one
+int holding a polynomial in the statistic, one field of ``B`` bits per
+statistic value; ``B`` fits the number of ordered forests on the largest
+n, which bounds every weight, so fields never carry and one
+multiplication convolves two values.  ``count_sweep`` is the one counting
+entry: a plain count, a refined table, many sets and many n are all read
+from its result.
 
 The parent-vector tally (``_tally``) enumerates every forest instead,
 through the unpruned ``iter_parent_vectors``; no command uses it, and
@@ -53,7 +55,8 @@ from typing import Mapping, Sequence
 
 from .forests import FamilyTag, _leaf_paths
 from .generate import _child_order_weight, iter_parent_vectors
-from .perms import Pattern, PatternMode, pattern, word_contains_classical, word_contains_consecutive
+from .perms import Pattern, PatternMode, _std_word, pattern
+from .perms import word_contains_classical, word_contains_consecutive
 
 
 class BudgetExceeded(RuntimeError):
@@ -104,6 +107,11 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[int, ...]:
+    return tuple(comb(n, k) for k in range(n + 1))
 
 
 def catalan(n: int) -> int:
@@ -454,6 +462,14 @@ class _PathMemos(_Memos):
     __slots__ = ("grown", "occurrences", "plans", "built")
 
 
+class _Memo(dict):
+    """A memo whose missing entry ``key`` is ``fill(*key)``, then kept."""
+
+    def __missing__(self, key: tuple) -> int:
+        out = self[key] = self.fill(*key)
+        return out
+
+
 class _GapTables(_Memos):
     """What the recursion computes from gap counts alone, built on demand
     and shared by every set and family of one sweep: the ``splits`` of a
@@ -469,21 +485,17 @@ class _GapTables(_Memos):
         choice of labels) or the one holding the smallest label ``m``."""
         intern = self.tuples.setdefault
         low = -1 if first else next(i for i, size in enumerate(gaps) if size)  # m's gap
-        picks = [range(1 if i == low else 0, size + 1) for i, size in enumerate(gaps)]
-        tops = list(product(*picks))
+        # C(g, c) ways in a gap, C(g - 1, c - 1) in m's own: the free labels
+        free = [size - (i == low) for i, size in enumerate(gaps)]
+        tops = list(product(*[range(size - f, size + 1) for size, f in zip(gaps, free)]))
         # gaps - counts in the same order, up to the last (nothing left)
-        rests = list(product(*[range(size - p.start, -1, -1) for size, p in zip(gaps, picks)]))
-        # C(g, c) ways in a gap, C(g - 1, c - 1) in m's own
-        ways = [[comb(size - p.start, c - p.start) for c in p] for size, p in zip(gaps, picks)]
-        ways = list(map(prod, product(*ways)))
+        rests = list(product(*[range(f, -1, -1) for f in free]))
+        ways = list(map(prod, product(*map(_binomials, free))))
         if first:
             del tops[0], rests[0], ways[0]  # the empty tree
         del rests[-1]
-        out = self.splits[gaps, first] = (
-            tuple(map(intern, tops, tops)),
-            tuple(ways),
-            (*map(intern, rests, rests), None),
-        )
+        tops, rests = tuple(map(intern, tops, tops)), (*map(intern, rests, rests), None)
+        out = self.splits[gaps, first] = (tops, tuple(ways), rests)
         return out
 
 
@@ -518,13 +530,13 @@ def _gap_count(
     at ``2**B``: its field ``s``, the bits ``s·B`` to ``s·B + B - 1``,
     holds the weight at statistic value ``s``.  ``B`` is the bit length
     of ``max_n!·Catalan(max_n)``, the number of ordered forests on
-    ``max_n`` labels, which no family exceeds on at most ``max_n`` labels.
-    Every weight and every partial sum of one is a number of distinct
-    forests on at most ``max_n`` labels, so it fits in its field and no
-    field carries into the next.  The empty forest is ``1``, a split adds
-    ``ways * first * rest`` (a product of polynomials), and a tree that
-    adds ``lift`` to the statistic is shifted left by ``lift·B``; only the
-    result loop unpacks the fields.  Under tdm a tree whose root lies in
+    ``max_n`` labels, which no family exceeds.  Every weight and every
+    partial sum of one counts distinct forests on at most ``max_n``
+    labels, so it fits in its field and no field carries into the next.
+    The empty forest is ``1``, a split adds ``ways * first * rest`` (a
+    product of polynomials), and a tree that adds ``lift`` to the
+    statistic is shifted left by ``lift·B``; only the result loop unpacks
+    the fields.  Under tdm a tree whose root lies in
     the top gap adds one top-down maximum.  Under trees, ``forest`` and
     ``tree`` add their ``shift`` to every tree, and only the chain of
     top-level states ``((), (n,))`` takes ``shift = 1``, so deeper
@@ -541,11 +553,9 @@ def _gap_count(
 
     Entry n reads the state ``((), (n,))``; the recursion from the largest
     of them passes through all the others, so one call answers every n.
-    The forest and tree memos live for one call and are cleared before it
-    returns.  The rest is the caller's: the path memos ``paths``, which it
-    may share with the calls for other families, and the gap ``tables``
-    (the splits of each gap vector under each split rule), which depend on
-    no path or pattern and may serve every call of a sweep.
+    The forest and tree memos (``_Memo``) live for one call.  The path
+    memos ``paths`` may serve the calls for other families, and the gap
+    ``tables``, which depend on no path or pattern, every call of a sweep.
     """
     binary = family is FamilyTag.UNORDERED_BINARY
     ordered = family is FamilyTag.ORDERED
@@ -553,15 +563,16 @@ def _gap_count(
     bits = (factorial(max_n) * catalan(max_n)).bit_length()  # B: one field per statistic value
     # A path keeps what a future can use (``_needless``): what the classical
     # atoms need, the last k - 1 values (contiguous, so consecutive atoms are
-    # read there alone) and under tdm the maximum, which bounds the top gap.
+    # read there alone; with no other atom and no tdm, just the longest suffix
+    # that starts like one) and under tdm the maximum, which bounds the top gap.
     words = [word for word, consecutive in atoms if not consecutive]
     runs = [word for word, consecutive in atoms if consecutive]
     window = max(map(len, runs), default=1) - 1
+    starts = set() if words or tdm else {_std_word(w[:j]) for w in runs for j in range(1, len(w))}
     cap = _crowding(words)
     grown, occurrences, plans, built = paths.grown, paths.occurrences, paths.plans, paths.built
     splits, intern = tables.splits, tables.tuples.setdefault
-    forests: dict[tuple, int] = {}
-    trees: dict[tuple, int] = {}
+    forests, trees = _Memo(), _Memo()
 
     def below(path: tuple[int, ...], gaps: tuple[int, ...]) -> int:
         """Forests under a vertex, with its path compressed."""
@@ -572,7 +583,10 @@ def _gap_count(
             found = occurrences.get(path)
             if found is None:
                 found = occurrences[path] = _occurrences(path, words)
-            fixed = path[max(len(path) - window, 0) :] + ((len(path),) if tdm else ())
+            keep = min(window, len(path))
+            if starts:  # the longest suffix that starts like an atom
+                keep = next((j for j in range(keep, 0, -1) if _std_word(path[-j:]) in starts), 0)
+            fixed = path[len(path) - keep :] + ((len(path),) if tdm else ())
             drop = _needless(capped, found, fixed)
             plan = ()
             if drop:
@@ -583,7 +597,7 @@ def _gap_count(
         if plan:
             path, slices = plan
             gaps = tuple([sum(gaps[a:b]) for a, b in slices])
-        return forest(path, gaps, 0) if any(gaps) else 1  # 1: the empty forest
+        return forests[path, gaps, 0] if any(gaps) else 1  # 1: the empty forest
 
     def grow(path: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entry of ``path`` in ``grown``: the path grown by a root in
@@ -604,10 +618,6 @@ def _gap_count(
 
     def tree(path: tuple[int, ...], counts: tuple[int, ...], shift: int) -> int:
         """Trees below ``path`` whose labels fill its gaps as ``counts``."""
-        key = (path, counts, shift)
-        out = trees.get(key)
-        if out is not None:
-            return out
         acc = 0
         ups = (grown.get(path) or grow(path))[0]
         nonempty = sum(1 << i for i, size in enumerate(counts) if size) if words else 0
@@ -629,36 +639,29 @@ def _gap_count(
                         lo = size - 1  # nothing above it
             lift = shift + 1 if tdm and i == len(path) else shift
             head, tail = counts[:i], counts[i + 1 :]
-            subtrees = sum(below(up, head + (j, size - 1 - j) + tail) for j in range(lo, hi))
+            subtrees = 0
+            for j in range(lo, hi):
+                subtrees += below(up, head + (j, size - 1 - j) + tail)
             acc += subtrees << lift * bits
-        out = trees[key] = acc
-        return out
+        return acc
 
     def forest(path: tuple[int, ...], gaps: tuple[int, ...], shift: int) -> int:
         """Forests below ``path`` whose labels fill its gaps as ``gaps``."""
-        key = (path, gaps, shift)
-        out = forests.get(key)
-        if out is not None:
-            return out
         acc = 0
         for counts, ways, left in zip(*(splits.get((gaps, ordered)) or tables.split(gaps, ordered))):
-            first = tree(path, counts, shift)
+            first = trees[path, counts, shift]
             if first:
-                acc += ways * first * (others(path, left, shift) if left else 1)
-        out = forests[key] = acc
-        return out
+                acc += ways * first * (others[path, left, shift] if left else 1)
+        return acc
 
-    others = tree if binary else forest  # a binary forest is at most two trees
+    forests.fill, trees.fill = forest, tree
+    others = trees if binary else forests  # a binary forest is at most two trees
     try:
         shift = 1 if statistic == "trees" else 0
         field = (1 << bits) - 1
-        results = []
-        for m in range(max_n + 1):
-            value = forest((), (m,), shift) if m else 1
-            results.append({
-                s: weight for s in range(max_n + 1) if (weight := value >> s * bits & field)
-            })
-        return results
+        fields = range(max_n + 1)
+        values = [forests[(), (m,), shift] if m else 1 for m in fields]
+        return [{s: w for s in fields if (w := value >> s * bits & field)} for value in values]
     finally:
         forests.clear()
         trees.clear()
@@ -836,8 +839,7 @@ def table_rows(figure: str, max_n: int, budget: int | None = None):
 def _table_rows(figure: str, max_n: int, budget: int | None):
     ref = REFERENCE_TABLES[figure]
     family: FamilyTag = ref["family"]
-    pattern_sets = []
-    meta = []
+    pattern_sets, meta = [], []
     for mode in ("classical", "consecutive"):
         for pat in TABLE_PATTERNS:
             word = pat if mode == "classical" else "!" + pat

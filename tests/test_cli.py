@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import itertools
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from forest_patterns import FamilyTag, avoids, cli, forests, gen_avoiders, pattern
+from forest_patterns import FamilyTag, avoids, forests, gen_avoiders, pattern
 from forest_patterns.cli import (
     BIJECTIONS,
+    build_parser,
     object_from_json,
     object_to_json,
     parse_pattern_list,
@@ -185,33 +187,14 @@ def test_enumerate_mode_without_avoid_exits_two(family, capsys):
     assert capsys.readouterr().err == "error: --mode only applies with --avoid\n"
 
 
-def test_run_builds_one_parser_and_keeps_no_state_between_calls(monkeypatch, capsys):
-    built = []
-
-    def spy():
-        built.append(1)
-        return build_parser()
-
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", spy)
-    cli._parser.cache_clear()
-    count = ("count", "--family", "unordered", "--n", "4", "--avoid", "213")
-    assert invoke(*count, "--by", "tdm") == (0, "1 15\n2 29\n3 36\n4 24\n")
-    assert invoke(*count) == (0, "104\n")  # no --by left over: a plain count
-    with pytest.raises(SystemExit) as err:
-        invoke("count", "--family", "unordered", "--n", "x", "--avoid", "21", "--by", "tdm")
-    assert err.value.code == 2
-    assert invoke("enumerate", "--family", "unordered", "--n", "2", "--avoid", "") == (2, "")
-    assert invoke("enumerate", "--family", "unordered", "--n", "2", "--avoid", "21") == (
-        0,
-        "2|0 0\n2|0 1\n",
-    )
-    enumerate_ = ("enumerate", "--family", "unordered", "--n", "3")
-    assert invoke(*enumerate_, "--limit", "1")[1].count("\n") == 1
-    assert invoke(*enumerate_)[1].count("\n") == 16  # every forest on [3]
-    assert len(built) == 1
-    capsys.readouterr()
-    cli._parser.cache_clear()  # later calls build a parser without the spy
+@pytest.mark.parametrize("columns", ["40", "100"])
+def test_help_wraps_as_argparse_does(columns, monkeypatch):
+    # the parser sizes its help formatter once, to the width argparse picks
+    monkeypatch.setenv("COLUMNS", columns)
+    ours, stock = build_parser().formatter_class(prog="p"), argparse.HelpFormatter(prog="p")
+    for formatter in (ours, stock):
+        formatter.add_text("word " * 40)
+    assert ours.format_help() == stock.format_help()
 
 
 def test_verify_pass_exit_code():

@@ -522,6 +522,34 @@ class TestClassicalCompression:
                 assert mapped == _count(n, family, [pattern(321)], "tdm"), n
 
 
+# Consecutive atoms alone, of mixed lengths, and some that every long path hits.
+CONSECUTIVE_SETS = [("!2143",), ("!1324", "!21"), ("!123", "!321"), ("!2413", "!132"), ("!12",)]
+
+
+class TestConsecutiveSuffix:
+    """With consecutive atoms alone and no tdm, a path keeps just its
+    longest suffix that starts like an atom."""
+
+    def test_a_path_keeps_its_longest_suffix_that_starts_an_atom(self):
+        atoms, _ = counting._compile_sets([[pattern("!213")]])
+        for statistic, kept in ((None, (1,)), ("trees", (1,)), ("tdm", (1, 2))):
+            paths, tables = counting._PathMemos(), counting._GapTables()
+            counting._gap_count(6, FamilyTag.UNORDERED, atoms, statistic, paths, tables)
+            # 1 2 cannot start 213 and drops its 1, but tdm keeps the last two
+            # values and the maximum; 2 1 can start 213, and stays whole
+            assert (paths.plans[(1, 2)] or ((1, 2),))[0] == kept, statistic
+            assert paths.plans[(2, 1)] == (), statistic
+
+    @pytest.mark.parametrize("family", list(FamilyTag))
+    @pytest.mark.parametrize("statistic", [None, "trees"], ids=["plain", "trees"])
+    def test_equals_the_tally(self, family, statistic):
+        sets = [[pattern(w) for w in words] for words in CONSECUTIVE_SETS]
+        swept = counting.count_sweep({family: 6}, sets, statistic, budget=6)[family]
+        for n in range(7):
+            oracle = [counting._tally(n, family, [s], statistic)[0] for s in sets]
+            assert [by_n[n] for by_n in swept] == oracle, n
+
+
 def _grown(path, i):
     """``path`` grown by a value in its gap ``i``."""
     return tuple(v + (v > i) for v in path) + (i + 1,)
