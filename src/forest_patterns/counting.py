@@ -346,16 +346,15 @@ def _occurrences(path: tuple[int, ...], words: Sequence[tuple[int, ...]]) -> Occ
             order = [(x, y, head[x] < head[y]) for x in range(a) for y in range(x + 1, a)]
             need = _intervals(word, a)
             crowded = {j for j in need if need.count(j) > 1}
-            for pos in combinations(range(len(path)), a):
-                values = tuple(path[i] for i in pos)
-                if any((values[x] < values[y]) != less for x, y, less in order):
+            for values in combinations(path, a):
+                if order and any((values[x] < values[y]) != less for x, y, less in order):
                     continue
                 bounds = (0, *sorted(values), top)
                 found.append((
                     a,
                     values,
-                    tuple((1 << bounds[j + 1]) - (1 << bounds[j]) for j in need),
-                    tuple((bounds[j], bounds[j + 1], need.count(j)) for j in crowded),
+                    tuple([(1 << bounds[j + 1]) - (1 << bounds[j]) for j in need]),
+                    tuple([(bounds[j], bounds[j + 1], need.count(j)) for j in crowded]),
                 ))
         out.append(found)
     return out
